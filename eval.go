@@ -84,8 +84,8 @@ type Evaluation struct {
 // workload trace is generated once — streamed, never materialized —
 // and fed in a single pass to all six collectors plus the NoGC and
 // Live baselines (internal/engine). Workloads run concurrently on a
-// bounded pool (each run is single-threaded and deterministic, so the
-// evaluation's results do not depend on scheduling). It is
+// bounded pool (each run is deterministic however it is scheduled, so
+// the evaluation's results do not depend on scheduling). It is
 // RunPaperEvaluationContext without cancellation.
 func RunPaperEvaluation(opts EvalOptions) (*Evaluation, error) {
 	return RunPaperEvaluationContext(context.Background(), opts)

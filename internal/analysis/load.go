@@ -42,6 +42,11 @@ type Loader struct {
 	std    types.ImporterFrom
 	loaded map[string]*Package // by import path
 	stack  []string            // import cycle detection
+
+	// A child loader (see child) reuses parent's packages that do not
+	// import override, and re-checks the ones that do.
+	parent   *Loader
+	override string
 }
 
 // NewLoader returns a Loader for the module rooted at dir. The module
@@ -196,6 +201,7 @@ func (l *Loader) loadTestVariants(base *Package) ([]*Package, error) {
 	}
 
 	var out []*Package
+	xl := l // resolves the external test package's imports
 	if len(inPkg) > 0 {
 		// Re-check the base files together with the test files so test
 		// code sees unexported declarations; report only on the tests.
@@ -206,11 +212,17 @@ func (l *Loader) loadTestVariants(base *Package) ([]*Package, error) {
 		tv := &Package{PkgPath: base.PkgPath, Dir: base.Dir, Fset: l.fset, Files: inPkg, Types: pkg.Types, Info: pkg.Info, IsTest: true}
 		l.loaded[key] = tv
 		out = append(out, tv)
+		// go test links the external test package against the package
+		// augmented with its in-package test files, which is how an
+		// export_test.go hands it test hooks. Check it the same way: a
+		// child loader holds the augmented package in place of the base
+		// and re-checks every module package imported through it.
+		xl = l.child(base.PkgPath, tv)
 	} else {
 		l.loaded[key] = nil
 	}
 	if len(external) > 0 {
-		pkg, err := l.check(base.PkgPath+"_test", external)
+		pkg, err := xl.check(base.PkgPath+"_test", external)
 		if err != nil {
 			return nil, err
 		}
@@ -221,12 +233,57 @@ func (l *Loader) loadTestVariants(base *Package) ([]*Package, error) {
 	return out, nil
 }
 
+// child returns a loader in which ipath resolves to pkg. Module
+// packages l has loaded that do not import ipath, directly or not, are
+// shared; the ones that do are checked again, against pkg.
+func (l *Loader) child(ipath string, pkg *Package) *Loader {
+	return &Loader{
+		ModuleDir:  l.ModuleDir,
+		ModulePath: l.ModulePath,
+		fset:       l.fset,
+		std:        l.std,
+		loaded:     map[string]*Package{ipath: pkg},
+		parent:     l,
+		override:   ipath,
+	}
+}
+
+// importsPath reports whether p imports path, directly or not.
+func importsPath(p *types.Package, path string) bool {
+	seen := make(map[*types.Package]bool)
+	var walk func(q *types.Package) bool
+	walk = func(q *types.Package) bool {
+		if q.Path() == path {
+			return true
+		}
+		if seen[q] {
+			return false
+		}
+		seen[q] = true
+		for _, d := range q.Imports() {
+			if walk(d) {
+				return true
+			}
+		}
+		return false
+	}
+	return walk(p)
+}
+
 // LoadDir parses and type-checks the single package in dir under the
 // given import path. Test files are excluded: the suite guards
 // shipped code paths.
 func (l *Loader) LoadDir(dir, ipath string) (*Package, error) {
 	if pkg, ok := l.loaded[ipath]; ok {
 		return pkg, nil
+	}
+	if l.parent != nil {
+		// A package the parent cannot load fails again below, with the
+		// same error.
+		if pkg, err := l.parent.LoadDir(dir, ipath); err == nil && !importsPath(pkg.Types, l.override) {
+			l.loaded[ipath] = pkg
+			return pkg, nil
+		}
 	}
 	for _, active := range l.stack {
 		if active == ipath {

@@ -27,8 +27,14 @@ type pathRun struct {
 func runPath(t *testing.T, name string, opts Options,
 	run func(cfgs []sim.Config) ([]*sim.Result, error)) pathRun {
 	t.Helper()
+	return runConfigs(t, collectorConfigs(name, opts), run)
+}
+
+// runConfigs is runPath over an explicit config set.
+func runConfigs(t *testing.T, cfgs []sim.Config,
+	run func(cfgs []sim.Config) ([]*sim.Result, error)) pathRun {
+	t.Helper()
 	aud := NewAuditor()
-	cfgs := collectorConfigs(name, opts)
 	bufs := make([]*bytes.Buffer, len(cfgs))
 	for i := range cfgs {
 		bufs[i] = &bytes.Buffer{}
@@ -36,7 +42,7 @@ func runPath(t *testing.T, name string, opts Options,
 	}
 	res, err := run(cfgs)
 	if err != nil {
-		t.Fatalf("%s: %v", name, err)
+		t.Fatalf("%s: %v", cfgs[0].Label, err)
 	}
 	tel := make([][]string, len(cfgs))
 	for i := range bufs {

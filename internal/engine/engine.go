@@ -76,9 +76,11 @@ func ReaderSource(rd *trace.Reader) Source {
 // the number of events decoded, delivered to the fleet, and covered by
 // one cancellation check. Large enough to amortize the per-batch costs
 // (context check, fleet dispatch) to nothing per event, small enough
-// that cancellation still lands within a sliver of a run and a pending
-// batch stays cache-resident (~4096 × 32-byte resolved events = two
-// L2 pages).
+// that cancellation still lands within a sliver of a run and a decoded
+// batch (4096 × 64-byte trace.Events, 256 KB) stays in L2. The fleet
+// resolves each batch in runs of at most 1024 events of its own (see
+// sim.Fleet.FeedBatch), so the batch size does not set the apply
+// working set.
 const replayBatchEvents = 4096
 
 // cancelCheckEvery preserves the pre-batching name for the

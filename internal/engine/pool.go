@@ -19,7 +19,8 @@ type Job func(ctx context.Context) error
 //
 // Concurrency: at most workers jobs run at once; workers <= 0 means
 // GOMAXPROCS. Scheduling cannot influence results — each job writes
-// only its own slot and every replay is single-threaded.
+// only its own slot, and a replay's results do not depend on how its
+// fleet spreads the apply work over goroutines.
 //
 // Cancellation: the first failing job cancels the context handed to
 // every other job, so in-flight replays abort at their next

@@ -167,19 +167,13 @@ func TestFleetRunnerRejectsDirectFeed(t *testing.T) {
 // TestFeedBatchSteadyStateAllocs pins the batch hot path's allocation
 // behavior: feeding events that grow no tape or runner arrays (pointer
 // writes and marks) must not allocate at all, per the //dtbvet:hotpath
-// contract on resolve/apply/FeedBatch.
+// contract on resolve/apply/FeedBatch — including on a sharded fleet,
+// whose every run launches and joins shard goroutines.
 func TestFeedBatchSteadyStateAllocs(t *testing.T) {
 	cfgs := []Config{
 		{Policy: core.Full{}, TriggerBytes: 1 << 30}, // never triggers
 		{Mode: ModeNoGC},
 		{Mode: ModeLive},
-	}
-	fleet, err := NewFleet(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fleet.FeedBatch(churnTrace(500, 256, 12, 0)); err != nil {
-		t.Fatal(err)
 	}
 	instr := uint64(500 * 100)
 	batch := make([]trace.Event, 64)
@@ -190,13 +184,23 @@ func TestFeedBatchSteadyStateAllocs(t *testing.T) {
 			batch[i] = trace.Mark("", instr)
 		}
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := fleet.FeedBatch(batch); err != nil {
+	for _, shards := range []int{1, len(cfgs)} {
+		fleet, err := NewFleet(cfgs)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("FeedBatch allocates %v times per steady-state batch, want 0", allocs)
+		forceShards(fleet, shards)
+		if err := fleet.FeedBatch(churnTrace(500, 256, 12, 0)); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := fleet.FeedBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%d shards: FeedBatch allocates %v times per steady-state batch, want 0", shards, allocs)
+		}
 	}
 }
 

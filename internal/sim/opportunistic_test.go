@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"github.com/dtbgc/dtbgc/internal/core"
@@ -129,5 +130,42 @@ func TestOpportunisticOnGeneratedPhaseWorkload(t *testing.T) {
 	if smart.MemMeanBytes >= plain.MemMeanBytes {
 		t.Fatalf("opportunistic mean memory %.0f >= byte-trigger %.0f",
 			smart.MemMeanBytes, plain.MemMeanBytes)
+	}
+}
+
+// TestOpportunisticRunnerKeepsItsLiveSamples: an opportunistic runner's
+// post-scavenge sample at a Mark is a point of its live-byte statistic
+// that no alloc or free holds — here it even starts the statistic,
+// before the first allocation — so that runner keeps its own copy
+// instead of the tape's shared one. The expected values are the
+// per-sample definition: live bytes 0 over [100, 1000), 64 over
+// [1000, 2000), 0 over [2000, 3000); without the mark sample the
+// statistic starts at 1000.
+func TestOpportunisticRunnerKeepsItsLiveSamples(t *testing.T) {
+	events := []trace.Event{
+		trace.Mark("m", 100),
+		trace.Alloc(1, 64, 1000),
+		trace.Free(1, 2000),
+		trace.Alloc(2, 64, 3000),
+	}
+	for _, tc := range []struct {
+		opportunistic bool
+		mean          float64
+	}{{true, 64.0 * 1000 / 2900}, {false, 32}} {
+		cfg := Config{Policy: core.Full{}, TriggerBytes: 1, Opportunistic: tc.opportunistic}
+		solo := mustRun(t, events, cfg)
+		fleet, err := NewFleet([]Config{cfg, {Mode: ModeLive}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		forceShards(fleet, 2)
+		if err := fleet.FeedBatch(events); err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range []*Result{solo, fleet.Finish()[0]} {
+			if math.Float64bits(res.LiveMeanBytes) != math.Float64bits(tc.mean) || math.Float64bits(res.LiveMaxBytes) != math.Float64bits(64) {
+				t.Errorf("opportunistic=%v: live mean %v max %v, want %v and 64", tc.opportunistic, res.LiveMeanBytes, res.LiveMaxBytes, tc.mean)
+			}
+		}
 	}
 }

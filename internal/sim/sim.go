@@ -24,7 +24,10 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"github.com/dtbgc/dtbgc/internal/core"
 	"github.com/dtbgc/dtbgc/internal/stats"
@@ -264,16 +267,19 @@ const birthBucketShift = 16
 func birthBucket(t core.Time) uint64 { return t.Bytes() >> birthBucketShift }
 
 // resolved is one trace event after tape resolution: object identity
-// replaced by a dense ordinal, sizes and the allocation clock already
-// computed, validation already done. Applying a resolved event to a
-// runner touches no maps and cannot fail, which is what makes the
-// fan-out apply loop tight.
+// replaced by a dense ordinal, sizes, the allocation clock and the
+// oracle live bytes already computed, validation already done.
+// Applying a resolved event to a runner touches no maps, reads no tape
+// state and cannot fail, which is what makes the fan-out apply loop
+// tight — and what lets a fleet apply events resolved ahead of time on
+// several goroutines at once.
 type resolved struct {
 	kind  trace.Kind
 	ord   int32 // alloc: new ordinal; free/ptrwrite: target (-1 if unknown)
 	size  uint64
 	instr uint64
 	clock core.Time // allocation clock after this event
+	live  uint64    // oracle live bytes after this event
 }
 
 // tape is the collector-independent view of a replayed trace: every
@@ -304,6 +310,12 @@ type tape struct {
 	dead   []bool           // per ordinal: freed by the program
 
 	live uint64 // live bytes (the oracle)
+	// liveStat is the time-weighted oracle live-byte statistic,
+	// observed once per alloc and free. It is the same for every
+	// collector, so the tape keeps the one copy all of its runners
+	// share; each runner's Finish closes a copy of it (see
+	// Runner.Finish).
+	liveStat stats.Weighted
 	// liveByBirth[b-bucketBase] is the live bytes of objects born in
 	// clock bucket b, maintained on every alloc and free. It makes
 	// boundary queries (LiveBytesBornAfter, executed on every policy
@@ -395,7 +407,8 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 			tp.liveByBirth = growBuckets(tp.liveByBirth, rb+1)
 		}
 		tp.liveByBirth[rb] += e.Size
-		*out = resolved{kind: trace.KindAlloc, ord: ord, size: e.Size, instr: e.Instr, clock: clock}
+		tp.liveStat.Observe(float64(e.Instr), float64(tp.live))
+		*out = resolved{kind: trace.KindAlloc, ord: ord, size: e.Size, instr: e.Instr, clock: clock, live: tp.live}
 	case trace.KindFree:
 		ord, ok := tp.index[e.ID]
 		if !ok {
@@ -417,7 +430,8 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 		// never be part of a trimmed (all-dead) prefix: the subtraction
 		// index is always in range.
 		tp.liveByBirth[birthBucket(tp.births[ord])-tp.bucketBase] -= size
-		*out = resolved{kind: trace.KindFree, ord: ord, size: size, instr: e.Instr, clock: tp.clock}
+		tp.liveStat.Observe(float64(e.Instr), float64(tp.live))
+		*out = resolved{kind: trace.KindFree, ord: ord, size: size, instr: e.Instr, clock: tp.clock, live: tp.live}
 	case trace.KindPtrWrite:
 		// Pointer stores do not affect the oracle liveness; the target
 		// ordinal is resolved here so the virtual-memory model can
@@ -430,9 +444,9 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 		if !ok {
 			ord = -1
 		}
-		*out = resolved{kind: trace.KindPtrWrite, ord: ord, instr: e.Instr, clock: tp.clock}
+		*out = resolved{kind: trace.KindPtrWrite, ord: ord, instr: e.Instr, clock: tp.clock, live: tp.live}
 	case trace.KindMark:
-		*out = resolved{kind: trace.KindMark, ord: -1, instr: e.Instr, clock: tp.clock}
+		*out = resolved{kind: trace.KindMark, ord: -1, instr: e.Instr, clock: tp.clock, live: tp.live}
 	default:
 		return fmt.Errorf("sim: event %d: unknown kind %d", i, e.Kind)
 	}
@@ -567,13 +581,18 @@ type Runner struct {
 	clock         core.Time
 	sinceTrigger  uint64
 	sinceProgress uint64
-	memStat       stats.Weighted
-	liveStat      stats.Weighted
-	lastInstr     uint64
-	nEvents       int
-	curve         *stats.Series
-	liveCurve     *stats.Series
-	finished      bool
+	memStat       stats.Weighted // unused by ModeLive, whose memory is the tape's live statistic
+	// liveStat is sampled only by opportunistic runners: their
+	// post-scavenge sample at a Mark splits a live-byte interval the
+	// tape's statistic holds whole, which can round differently. Every
+	// other runner's extra samples land at the instruction of the alloc
+	// just observed, a dt=0 no-op, so it reuses the tape's statistic.
+	liveStat  stats.Weighted
+	lastInstr uint64
+	nEvents   int
+	curve     *stats.Series
+	liveCurve *stats.Series
+	finished  bool
 
 	// Virtual-memory model (nil unless configured). Placement is per
 	// runner: survivors relocate at scavenges, so addresses diverge
@@ -681,24 +700,32 @@ func derivePolicySeed(userSeed uint64, label, collector string) uint64 {
 	return z ^ (z >> 31)
 }
 
-func (r *Runner) memInUse() uint64 {
+// memInUse is the run's memory-in-use, given the oracle live bytes.
+func (r *Runner) memInUse(live uint64) uint64 {
 	switch r.cfg.Mode {
 	case ModeNoGC:
 		return r.clock.Bytes() // cumulative allocation, frees ignored
 	case ModeLive:
-		return r.tape.live
+		return live
 	default:
 		return r.inUse
 	}
 }
 
-func (r *Runner) sample(instr uint64) {
-	m := r.memInUse()
-	r.memStat.Observe(float64(instr), float64(m))
-	r.liveStat.Observe(float64(instr), float64(r.tape.live))
+// sample records the memory statistics after ev. The live bytes come
+// from the resolved event, never the tape, so a run of events resolved
+// ahead of time samples exactly what lockstep replay would.
+func (r *Runner) sample(ev *resolved) {
+	m := r.memInUse(ev.live)
+	if r.cfg.Mode != ModeLive {
+		r.memStat.Observe(float64(ev.instr), float64(m))
+	}
+	if r.opportunistic {
+		r.liveStat.Observe(float64(ev.instr), float64(ev.live))
+	}
 	if r.curve != nil {
 		r.curve.Append(float64(r.clock), float64(m))
-		r.liveCurve.Append(float64(r.clock), float64(r.tape.live))
+		r.liveCurve.Append(float64(r.clock), float64(ev.live))
 	}
 }
 
@@ -717,15 +744,8 @@ func (r *Runner) Feed(e trace.Event) error {
 	if r.fleet {
 		return errFleetFeed
 	}
-	var one [1]resolved
-	if err := r.tape.resolve(e, &one[0]); err != nil {
-		return err
-	}
-	r.apply(one[:])
-	if tp := r.tape; tp.compact && tp.events-tp.lastCompactCheck >= tp.checkEvery {
-		tp.maybeCompact(r.tapeRunners)
-	}
-	return nil
+	one := [1]trace.Event{e}
+	return r.tape.feedLockstep(r.tapeRunners, one[:])
 }
 
 // FeedBatch processes a batch of events in trace order: the same
@@ -739,18 +759,30 @@ func (r *Runner) FeedBatch(events []trace.Event) error {
 	if r.fleet {
 		return errFleetFeed
 	}
+	return r.tape.feedLockstep(r.tapeRunners, events)
+}
+
+// feedLockstep resolves each event and applies it to every runner
+// before resolving the next, the per-event reference order: solo
+// runners and one-runner fleets, which have nothing to shard, feed
+// this way. On error, every runner has applied exactly the events
+// before the offending one.
+//
+//dtbvet:hotpath the solo and one-runner-fleet feed loop
+func (tp *tape) feedLockstep(runners []*Runner, events []trace.Event) error {
 	var one [1]resolved
-	tp := r.tape
 	for i := range events {
 		if err := tp.resolve(events[i], &one[0]); err != nil {
 			return err
 		}
-		r.apply(one[:])
+		for _, r := range runners {
+			r.apply(one[:])
+		}
 		// The cadence gate keys on the event count alone, so compaction
 		// points — and the checkpoint watermark — are independent of
 		// how callers batch the stream.
 		if tp.compact && tp.events-tp.lastCompactCheck >= tp.checkEvery {
-			tp.maybeCompact(r.tapeRunners)
+			tp.maybeCompact(runners)
 		}
 	}
 	return nil
@@ -759,7 +791,10 @@ func (r *Runner) FeedBatch(events []trace.Event) error {
 // apply runs resolved events through this runner's collector. The
 // events were validated by the tape, so apply cannot fail; everything
 // per event here is per-collector work (memory accounting, trigger
-// bookkeeping, sampling, scavenges).
+// bookkeeping, sampling, scavenges). Only a scavenge or a Progress
+// event reads the shared tape or calls out of the runner; Fleet
+// predicts both, so it can apply the events between them on shard
+// goroutines.
 //
 //dtbvet:hotpath the per-runner batch apply loop of every replay
 func (r *Runner) apply(batch []resolved) {
@@ -782,11 +817,11 @@ func (r *Runner) apply(batch []resolved) {
 				r.pages.Touch(addr, ev.size) // the mutator initializes it
 			}
 			r.sinceTrigger += ev.size
-			r.sample(ev.instr)
+			r.sample(ev)
 			if r.isPolicy && r.sinceTrigger >= r.cfg.TriggerBytes {
 				r.sinceTrigger = 0
-				r.scavenge(TriggerByteBudget)
-				r.sample(ev.instr)
+				r.scavenge(TriggerByteBudget, ev.live)
+				r.sample(ev)
 			}
 			if r.hasProbe {
 				r.sinceProgress += ev.size
@@ -797,8 +832,8 @@ func (r *Runner) apply(batch []resolved) {
 						Events:      r.nEvents,
 						Instr:       ev.instr,
 						Clock:       r.clock,
-						InUse:       r.memInUse(),
-						Live:        r.tape.live,
+						InUse:       r.memInUse(ev.live),
+						Live:        ev.live,
 						Collections: r.res.Collections,
 					})
 				}
@@ -810,12 +845,12 @@ func (r *Runner) apply(batch []resolved) {
 				// this very event.
 				r.pages.Touch(r.addrs[ev.ord], ev.size) // last mutator access
 			}
-			r.sample(ev.instr)
+			r.sample(ev)
 		case trace.KindMark:
 			if r.opportunistic && r.sinceTrigger >= r.cfg.TriggerBytes/2 {
 				r.sinceTrigger = 0
-				r.scavenge(TriggerMark)
-				r.sample(ev.instr)
+				r.scavenge(TriggerMark, ev.live)
+				r.sample(ev)
 			}
 		case trace.KindPtrWrite:
 			// Pointer stores do not affect the oracle liveness, but they
@@ -829,8 +864,14 @@ func (r *Runner) apply(batch []resolved) {
 	}
 }
 
+// scavenge runs one collection; live is the oracle live bytes at the
+// triggering event. It is the one place apply reads the shared tape
+// (the sweep and the policy's boundary queries), so Fleet applies the
+// events that can trigger it on the caller's goroutine, in config
+// order, with the tape resolved exactly up to that event.
+//
 //dtbvet:hotpath one call per simulated collection
-func (r *Runner) scavenge(reason TriggerReason) {
+func (r *Runner) scavenge(reason TriggerReason, live uint64) {
 	tp, cfg, res := r.tape, r.cfg, r.res
 	memBefore := r.inUse
 	var tb core.Time
@@ -848,7 +889,7 @@ func (r *Runner) scavenge(reason TriggerReason) {
 			TB:         tb,
 			Candidates: boundaryCandidates(&res.History),
 			MemBefore:  memBefore,
-			LiveBefore: tp.live,
+			LiveBefore: live,
 		}
 		if r.explain != nil {
 			if info, ok := r.explain.LastDecision(); ok {
@@ -917,15 +958,15 @@ func (r *Runner) scavenge(reason TriggerReason) {
 			Traced:         traced,
 			Reclaimed:      reclaimed,
 			Surviving:      r.inUse,
-			Live:           tp.live,
-			TenuredGarbage: r.inUse - tp.live,
+			Live:           live,
+			TenuredGarbage: r.inUse - live,
 			PauseSeconds:   pause,
 		})
 	}
 	if r.instance != nil {
 		r.instance.Observe(core.ScavengeFacts{
 			Scavenge:      res.History.Scavenges[len(res.History.Scavenges)-1],
-			Live:          tp.live,
+			Live:          live,
 			MarkTriggered: reason == TriggerMark,
 		})
 	}
@@ -937,13 +978,23 @@ func (r *Runner) Finish() *Result {
 		return r.res
 	}
 	r.finished = true
-	r.memStat.Finish(float64(r.lastInstr))
-	r.liveStat.Finish(float64(r.lastInstr))
+	// The tape's live statistic is shared and may keep growing, so each
+	// runner closes its own copy at its own last event.
+	live := r.tape.liveStat
+	if r.opportunistic {
+		live = r.liveStat
+	}
+	live.Finish(float64(r.lastInstr))
+	mem := live // the Live baseline's memory is the live-byte curve
+	if r.cfg.Mode != ModeLive {
+		mem = r.memStat
+		mem.Finish(float64(r.lastInstr))
+	}
 	res := r.res
-	res.MemMeanBytes = r.memStat.Mean()
-	res.MemMaxBytes = r.memStat.Max()
-	res.LiveMeanBytes = r.liveStat.Mean()
-	res.LiveMaxBytes = r.liveStat.Max()
+	res.MemMeanBytes = mem.Mean()
+	res.MemMaxBytes = mem.Max()
+	res.LiveMeanBytes = live.Mean()
+	res.LiveMaxBytes = live.Max()
 	res.TotalAlloc = r.clock.Bytes()
 	res.ExecSeconds = r.cfg.Machine.Seconds(r.lastInstr)
 	if res.ExecSeconds > 0 {
@@ -970,15 +1021,65 @@ func (r *Runner) Finish() *Result {
 
 // Fleet runs many collectors over one trace, sharing the tape — the
 // id→ordinal index, validation, the free oracle and the live-byte
-// accounting — across all of them. Each batch is resolved once and
-// then applied to every runner in a tight per-collector loop, so the
-// per-event map and validation cost is paid once per trace instead of
-// once per collector. Every runner's Result, History and telemetry
-// sequence is bit-identical to a solo run over the same events.
+// accounting — across all of them. Each event is resolved once and
+// then applied to every runner, so the per-event map and validation
+// cost is paid once per trace instead of once per collector, and the
+// per-collector apply work is split across shard goroutines (see
+// FeedBatch). Every runner's Result, History and telemetry sequence is
+// bit-identical to a solo run over the same events.
 type Fleet struct {
 	tape     *tape
 	runners  []*Runner
 	finished bool
+
+	// Sharded apply (multi-runner fleets only). buf holds the events
+	// resolved ahead of the next horizon. A run is applied by shards
+	// goroutines — the caller's and shards-1 launched ones — each
+	// claiming runners one at a time from next until none are left,
+	// so a shard that starts late or draws costly runners takes fewer;
+	// wg joins the launched ones. minShardWork is the least work
+	// (events × runners) a run needs before launching is worth it.
+	// shards and minShardWork are fields so tests can force any shard
+	// count and every run onto it.
+	buf          []resolved
+	run          []resolved // the run being applied
+	next         atomic.Int64
+	shards       int
+	minShardWork int
+	wg           sync.WaitGroup
+	launch       func() // f.work bound once: launching it allocates nothing
+}
+
+// Sharded-apply defaults. A run of fleetRunEvents resolved events
+// (40 bytes each) stays cache-resident while every runner reads it
+// once. Below defaultMinShardWork event applications (100-200 µs of
+// apply) a run stays on the caller: waking another P and moving the
+// run and the runners' state to its cache cost about what the split
+// saves, so fleets of a handful of collectors — the paper matrix, a
+// churn replay — apply serially, and wide fan-outs shard.
+const (
+	fleetRunEvents      = 1024
+	defaultMinShardWork = 16384
+)
+
+// applyClaimed applies the current run to runners claimed one at a
+// time until every runner is taken. Each claimed runner takes the
+// whole run before the next claim — runner-major, so its state stays
+// hot — and no two shards ever touch the same runner.
+func (f *Fleet) applyClaimed() {
+	for {
+		i := int(f.next.Add(1)) - 1
+		if i >= len(f.runners) {
+			return
+		}
+		f.runners[i].apply(f.run)
+	}
+}
+
+// work is a launched shard's body: claim and apply, then join.
+func (f *Fleet) work() {
+	defer f.wg.Done()
+	f.applyClaimed()
 }
 
 // NewFleet validates every config before constructing any runner (a
@@ -1011,6 +1112,12 @@ func NewFleet(cfgs []Config) (*Fleet, error) {
 		f.runners = append(f.runners, r)
 	}
 	tp.compact = tapeCompactionAllowed(f.runners)
+	if len(f.runners) > 1 {
+		f.buf = make([]resolved, fleetRunEvents)
+		f.shards = min(runtime.GOMAXPROCS(0), len(f.runners))
+		f.minShardWork = defaultMinShardWork
+		f.launch = f.work
+	}
 	return f, nil
 }
 
@@ -1065,43 +1172,138 @@ func (f *Fleet) RestorePolicyState(snaps [][]byte) error {
 func (f *Fleet) Events() int { return f.tape.events }
 
 // FeedBatch resolves each event once against the shared tape and
-// applies it to every runner in lockstep before resolving the next, so
-// a runner's policy queries and samples see the tape exactly at the
-// event being applied — the same state a solo run would see, which is
-// what keeps fleet results bit-identical to per-event replays. The
-// per-event map lookups and validation still happen once per event
-// instead of once per runner, and the batch boundary hoists the
-// finished check and the caller's cancellation check off the per-event
-// path. On a validation error, every runner has applied exactly the
-// events before the offending one — the fleet stays consistent, and
-// the error is what Runner.Feed would have returned for that event.
+// applies it to every runner, with every result bit-identical to
+// lockstep replay (resolve one event, apply it to every runner in
+// config order, resolve the next): the order solo runs see.
+//
+// It resolves ahead into the fleet's buffer up to the next horizon:
+// the first event at which some runner could read shared tape state or
+// call out of the runner — an alloc that fires a byte-trigger scavenge
+// or a Progress event, a Mark that fires an opportunistic scavenge, or
+// the event after which the compaction cadence check is due. The
+// events before the horizon read nothing shared (each resolved event
+// carries its own live bytes), so they are applied runner-major across
+// the shards in parallel, and the shards join. The horizon event is
+// then applied to every runner one after another, in config order, on
+// the caller's goroutine, and compaction runs if due. So policy
+// Boundary and Observe calls, probe callbacks and compaction all
+// happen on one goroutine, in lockstep order. The batch end, a full
+// buffer and a resolve error also end a run; on a validation error,
+// every runner has applied exactly the events before the offending
+// one — the fleet stays consistent, and the error is what Runner.Feed
+// would have returned for that event.
+//
+// A one-runner fleet has nothing to shard: it feeds in lockstep and
+// never launches a goroutine. No goroutine outlives the call.
 //
 //dtbvet:hotpath one call per replay batch: resolve once, apply N times
 func (f *Fleet) FeedBatch(events []trace.Event) error {
 	if f.finished {
 		return errFeedAfterFinish
 	}
-	if len(f.runners) == 0 {
+	switch len(f.runners) {
+	case 0:
 		return nil
+	case 1:
+		return f.tape.feedLockstep(f.runners, events)
 	}
-	var one [1]resolved
-	tp := f.tape
+	tp, buf := f.tape, f.buf
+	n := 0
+	allocLeft, markLeft := f.headroom()
 	for i := range events {
-		if err := tp.resolve(events[i], &one[0]); err != nil {
+		ev := &buf[n]
+		if err := tp.resolve(events[i], ev); err != nil {
+			f.applyRun(buf[:n])
 			return err
 		}
-		for _, r := range f.runners {
-			r.apply(one[:])
+		horizon := false
+		switch ev.kind {
+		case trace.KindAlloc:
+			if ev.size >= allocLeft {
+				horizon = true
+			} else {
+				allocLeft -= ev.size
+			}
+			markLeft -= min(markLeft, ev.size)
+		case trace.KindMark:
+			horizon = markLeft == 0
+		case trace.KindFree, trace.KindPtrWrite:
+		default:
 		}
-		// Event-count cadence, checked only after every runner applied
-		// the event: compaction never moves ordinals between a resolve
-		// and its applies, and the compaction schedule — hence the
-		// checkpoint watermark — is independent of batch boundaries.
-		if tp.compact && tp.events-tp.lastCompactCheck >= tp.checkEvery {
+		// Event-count cadence: compaction never moves ordinals between
+		// a resolve and its applies, and the compaction schedule — hence
+		// the checkpoint watermark — is independent of batch and run
+		// boundaries.
+		due := tp.compact && tp.events-tp.lastCompactCheck >= tp.checkEvery
+		if !horizon && !due {
+			if n++; n == len(buf) {
+				f.applyRun(buf)
+				n = 0
+			}
+			continue
+		}
+		f.applyRun(buf[:n])
+		for _, r := range f.runners {
+			r.apply(buf[n : n+1])
+		}
+		if due {
 			tp.maybeCompact(f.runners)
 		}
+		n = 0
+		allocLeft, markLeft = f.headroom()
 	}
+	f.applyRun(buf[:n])
 	return nil
+}
+
+// headroom bounds how far the fleet can resolve ahead from the
+// runners' current state: an alloc of at least allocLeft bytes (the
+// allocation since the last horizon included) may fire some runner's
+// byte trigger or Progress interval, and a Mark once markLeft bytes
+// have been allocated may fire an opportunistic scavenge. The bounds
+// are conservative: a horizon that fires nothing is applied serially
+// all the same.
+func (f *Fleet) headroom() (allocLeft, markLeft uint64) {
+	allocLeft, markLeft = math.MaxUint64, math.MaxUint64
+	for _, r := range f.runners {
+		if r.isPolicy {
+			allocLeft = min(allocLeft, r.cfg.TriggerBytes-min(r.cfg.TriggerBytes, r.sinceTrigger))
+		}
+		if r.opportunistic {
+			half := r.cfg.TriggerBytes / 2
+			markLeft = min(markLeft, half-min(half, r.sinceTrigger))
+		}
+		if r.hasProbe {
+			allocLeft = min(allocLeft, r.cfg.ProgressBytes-min(r.cfg.ProgressBytes, r.sinceProgress))
+		}
+	}
+	return allocLeft, markLeft
+}
+
+// applyRun applies a run of resolved events that fires no scavenge and
+// no Progress event to every runner: across the shards in parallel
+// when the run is worth it, else on the caller's goroutine. Either way
+// it returns only after every runner has applied the whole run.
+//
+//dtbvet:hotpath one call per run between horizons
+func (f *Fleet) applyRun(run []resolved) {
+	if len(run) == 0 {
+		return
+	}
+	if f.shards < 2 || len(run)*len(f.runners) < f.minShardWork {
+		for _, r := range f.runners {
+			r.apply(run)
+		}
+		return
+	}
+	f.run = run
+	f.next.Store(0)
+	f.wg.Add(f.shards - 1)
+	for i := 1; i < f.shards; i++ {
+		go f.launch()
+	}
+	f.applyClaimed()
+	f.wg.Wait()
 }
 
 // Finish closes every runner and returns their Results in config
