@@ -3,7 +3,6 @@ package audit
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"github.com/dtbgc/dtbgc/internal/engine"
@@ -12,21 +11,30 @@ import (
 	"github.com/dtbgc/dtbgc/internal/workload"
 )
 
-// withGOMAXPROCS runs fn with GOMAXPROCS set to k. A fleet applies its
-// runs on min(GOMAXPROCS, runners) shards, fixed when it is built, so
-// this sets the shard count of every replay fn starts.
-func withGOMAXPROCS(k int, fn func()) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(k))
+// withRuns runs fn with every fleet it builds cutting its runs at 16
+// events and applying them from their summaries, or, with summary off,
+// event by event. The engine builds its own fleets, so the switch is
+// sim's package-level test hook.
+func withRuns(summary bool, fn func()) {
+	defer sim.TuneRunsForTest(summary)()
 	fn()
 }
 
-// wideOptions and wideConfigs make the sharding oracle's fan-out: the
+// runModes are the two run-apply modes the oracle replays in.
+var runModes = []bool{true, false}
+
+// applyMode names a run mode in test failures.
+func applyMode(summary bool) string {
+	if summary {
+		return "summary apply"
+	}
+	return "per-event apply"
+}
+
+// wideOptions and wideConfigs make the run-apply oracle's fan-out: the
 // oracle's collector matrix four times over (44 collectors, each copy
 // labelled apart, so the adaptive policies learn apart too) at a
-// 64 KB trigger. A fleet hands a run to shard goroutines only when
-// the run is worth it — enough events times collectors — and this
-// width and trigger make nearly every run between horizons qualify,
-// as in a 64-collector sweep.
+// 64 KB trigger, as in a 64-collector sweep.
 var wideOptions = Options{TriggerBytes: 64 * kb, MemMaxBytes: 256 * kb, TraceMaxBytes: 32 * kb}
 
 func wideConfigs(name string) []sim.Config {
@@ -37,15 +45,11 @@ func wideConfigs(name string) []sim.Config {
 	return cfgs
 }
 
-// shardCounts are the shard counts the sharding oracle replays at:
-// serial, even and odd splits, and one collector per shard.
-func shardCounts(collectors int) []int { return []int{1, 2, 3, collectors} }
-
 // TestShardedFanOutMatchesLegacyOracle is the three-way oracle across
-// apply shard counts: every paper workload runs the wide matrix as
-// one solo sim.Run per collector (legacy) and through the batched
-// fan-out engine at 1, 2, 3 and one-per-collector shards, and every
-// sharded pass must match legacy bit for bit — DiffResults on every
+// run-apply modes: every paper workload runs the wide matrix as one
+// solo sim.Run per collector (legacy) and through the batched fan-out
+// engine, its runs applied from their summaries and event by event,
+// and every pass must match legacy bit for bit — DiffResults on every
 // Result, DiffTelemetry line for line — with a clean auditor.
 func TestShardedFanOutMatchesLegacyOracle(t *testing.T) {
 	for _, base := range workload.PaperProfiles() {
@@ -70,21 +74,21 @@ func TestShardedFanOutMatchesLegacyOracle(t *testing.T) {
 			if err := legacy.aud.Err(); err != nil {
 				t.Errorf("legacy auditor: %v", err)
 			}
-			for _, k := range shardCounts(len(cfgs)) {
+			for _, summary := range runModes {
 				var got pathRun
-				withGOMAXPROCS(k, func() {
+				withRuns(summary, func() {
 					got = runConfigs(t, cfgs, func(cfgs []sim.Config) ([]*sim.Result, error) {
 						return engine.ReplayBatches(context.Background(), engine.SliceBatchSource(events), cfgs)
 					})
 				})
-				diffPaths(t, fmt.Sprintf("%d shards", k), got, legacy)
+				diffPaths(t, applyMode(summary), got, legacy)
 			}
 		})
 	}
 }
 
-// TestShardedResumeUnderOracle is the resume oracle across apply
-// shard counts, on the wide matrix. Seeded source faults interrupt the
+// TestShardedResumeUnderOracle is the resume oracle across run-apply
+// modes, on the wide matrix. Seeded source faults interrupt the
 // replay; the batching source flushes the events it decoded before the
 // fault, so each checkpoint lands mid-batch and mostly inside a run the
 // fleet had resolved ahead. The resumed replay must match the
@@ -101,11 +105,11 @@ func TestShardedResumeUnderOracle(t *testing.T) {
 	want := runConfigs(t, cfgs, func(cfgs []sim.Config) ([]*sim.Result, error) {
 		return engine.ReplayBatches(ctx, engine.SliceBatchSource(events), cfgs)
 	})
-	for _, k := range shardCounts(len(cfgs)) {
+	for _, summary := range runModes {
 		for seed := uint64(1); seed <= 3; seed++ {
 			plan := fault.RandomPlan(seed, fault.SourceErr, uint64(len(events)))
 			var got pathRun
-			withGOMAXPROCS(k, func() {
+			withRuns(summary, func() {
 				got = runConfigs(t, cfgs, func(cfgs []sim.Config) ([]*sim.Result, error) {
 					_, cp, err := engine.ReplayResumable(ctx, engine.Source(plan.Source(engine.SliceSource(events), nil)), cfgs)
 					if err == nil || cp == nil {
@@ -118,7 +122,7 @@ func TestShardedResumeUnderOracle(t *testing.T) {
 					return res, nil
 				})
 			})
-			diffPaths(t, fmt.Sprintf("%d shards, seed %d", k, seed), got, want)
+			diffPaths(t, fmt.Sprintf("%s, seed %d", applyMode(summary), seed), got, want)
 		}
 	}
 }

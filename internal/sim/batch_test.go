@@ -167,13 +167,18 @@ func TestFleetRunnerRejectsDirectFeed(t *testing.T) {
 // TestFeedBatchSteadyStateAllocs pins the batch hot path's allocation
 // behavior: feeding events that grow no tape or runner arrays (pointer
 // writes and marks) must not allocate at all, per the //dtbvet:hotpath
-// contract on resolve/apply/FeedBatch — including on a sharded fleet,
-// whose every run launches and joins shard goroutines.
+// contract on resolve/apply/FeedBatch — in either run mode, on a
+// 64-runner fleet applying runs from their summaries, and on a
+// one-runner fleet, which takes the same run loop.
 func TestFeedBatchSteadyStateAllocs(t *testing.T) {
-	cfgs := []Config{
+	mixed := []Config{
 		{Policy: core.Full{}, TriggerBytes: 1 << 30}, // never triggers
 		{Mode: ModeNoGC},
 		{Mode: ModeLive},
+	}
+	var wide []Config
+	for i := 0; i < 64; i++ {
+		wide = append(wide, Config{Policy: core.Fixed{K: 1 + i%4}, TriggerBytes: 1 << 30})
 	}
 	instr := uint64(500 * 100)
 	batch := make([]trace.Event, 64)
@@ -184,12 +189,21 @@ func TestFeedBatchSteadyStateAllocs(t *testing.T) {
 			batch[i] = trace.Mark("", instr)
 		}
 	}
-	for _, shards := range []int{1, len(cfgs)} {
-		fleet, err := NewFleet(cfgs)
+	for _, tc := range []struct {
+		name    string
+		cfgs    []Config
+		summary bool
+	}{
+		{"mixed, summary apply", mixed, true},
+		{"mixed, per-event apply", mixed, false},
+		{"64 runners, summary apply", wide, true},
+		{"one runner", mixed[:1], true},
+	} {
+		fleet, err := NewFleet(tc.cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		forceShards(fleet, shards)
+		fleet.perEvent = !tc.summary
 		if err := fleet.FeedBatch(churnTrace(500, 256, 12, 0)); err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +213,7 @@ func TestFeedBatchSteadyStateAllocs(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%d shards: FeedBatch allocates %v times per steady-state batch, want 0", shards, allocs)
+			t.Errorf("%s: FeedBatch allocates %v times per steady-state batch, want 0", tc.name, allocs)
 		}
 	}
 }

@@ -3,9 +3,9 @@ package sim
 // Test hooks for the external test package sim_test, which can import
 // internal/audit (package sim's own tests cannot: audit imports sim).
 
-// ForceShards is forceShards (shard_test.go): every run of f on k
-// shards, with 16-event resolve-ahead buffers.
-var ForceShards = forceShards
+// TuneRuns is tuneRuns: f cuts its runs at 16 events and, unless
+// summary is set, applies them event by event.
+var TuneRuns = tuneRuns
 
 // SetCompactionCadence makes f's tape run its compaction check every
 // every events and retire or trim whatever it can, so short inputs

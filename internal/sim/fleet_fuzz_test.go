@@ -228,14 +228,15 @@ func referenceRun(t *testing.T, events []trace.Event, cfgs []sim.Config, probe b
 }
 
 // fleetRun is the fast path: one compacting fleet over every config,
-// its apply forced onto shards, fed in the fuzzed batch shape.
-func fleetRun(t *testing.T, events []trace.Event, cfgs []sim.Config, probe bool, cuts []byte, shards uint8) fuzzRun {
+// its runs cut at 16 events and applied from their summaries unless
+// perEvent is set, fed in the fuzzed batch shape.
+func fleetRun(t *testing.T, events []trace.Event, cfgs []sim.Config, probe bool, cuts []byte, perEvent bool) fuzzRun {
 	cfgs, bufs := withTelemetry(cfgs, probe)
 	fleet, err := sim.NewFleet(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.ForceShards(fleet, 1+int(shards)%len(cfgs))
+	sim.TuneRuns(fleet, !perEvent)
 	sim.SetCompactionCadence(fleet, 16)
 	var run fuzzRun
 	for lo, c := 0, 0; lo < len(events); c++ {
@@ -304,22 +305,26 @@ func TestFuzzStreamRoundTrip(t *testing.T) {
 
 // FuzzFleetVsReference is the differential fuzz target of the replay
 // stack: fuzz bytes decode to an event stream, valid or not, and a
-// sharded, compacting fleet fed in fuzzed batches must match the audit
-// oracle's solo reference leg (ReferenceScan, UncompactedTape, fed event
-// by event) exactly — every Result under audit.DiffResults, every
-// telemetry stream under audit.DiffTelemetry, and on bad input the same
-// error at the same event.
+// compacting fleet fed in fuzzed batches — applying its runs from
+// their summaries, or event by event — must match the audit oracle's
+// solo reference leg (ReferenceScan, UncompactedTape, fed event by
+// event) exactly: every Result under audit.DiffResults, every
+// telemetry stream under audit.DiffTelemetry, and on bad input the
+// same error at the same event.
 func FuzzFleetVsReference(f *testing.F) {
 	for i, seed := range fuzzSeeds(f) {
-		f.Add(seed, []byte{7, 200, 33}, uint8(i), uint16(64), true, uint16(0), true, uint16(0))
-		f.Add(seed, []byte{255}, uint8(i+1), uint16(8), false, uint16(16), false, uint16(0x0611))
-		f.Add(seed, []byte{}, uint8(i+2), uint16(200), true, uint16(40), true, uint16(0x00f1))
+		f.Add(seed, []byte{7, 200, 33}, i%2 == 1, uint16(64), true, uint16(0), true, uint16(0))
+		f.Add(seed, []byte{255}, i%2 == 0, uint16(8), false, uint16(16), false, uint16(0x0611))
+		f.Add(seed, []byte{}, i%2 == 1, uint16(200), true, uint16(40), true, uint16(0x00f1))
 	}
-	f.Fuzz(func(t *testing.T, stream, cuts []byte, shards uint8, trigger uint16, opportunistic bool, progress uint16, probe bool, mask uint16) {
+	// Instruction gaps up to 2^34 carry the memory integrals past 2^53,
+	// where summary apply must hand runs back to per-event apply.
+	f.Add(encodeFuzzEvents(wideGapTrace(1, 400, maxFuzzSize-1)), []byte{40, 9}, false, uint16(100), false, uint16(0), false, uint16(0))
+	f.Fuzz(func(t *testing.T, stream, cuts []byte, perEvent bool, trigger uint16, opportunistic bool, progress uint16, probe bool, mask uint16) {
 		events := decodeFuzzEvents(stream)
 		cfgs := fuzzConfigs(mask, trigger, progress, opportunistic)
 		want := referenceRun(t, events, cfgs, probe)
-		got := fleetRun(t, events, cfgs, probe, cuts, shards)
+		got := fleetRun(t, events, cfgs, probe, cuts, perEvent)
 
 		switch {
 		case (got.err == nil) != (want.err == nil):

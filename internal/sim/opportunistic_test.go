@@ -158,7 +158,7 @@ func TestOpportunisticRunnerKeepsItsLiveSamples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		forceShards(fleet, 2)
+		tuneRuns(fleet, true)
 		if err := fleet.FeedBatch(events); err != nil {
 			t.Fatal(err)
 		}

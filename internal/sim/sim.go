@@ -23,11 +23,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"reflect"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/dtbgc/dtbgc/internal/core"
 	"github.com/dtbgc/dtbgc/internal/stats"
@@ -271,8 +270,8 @@ func birthBucket(t core.Time) uint64 { return t.Bytes() >> birthBucketShift }
 // oracle live bytes already computed, validation already done.
 // Applying a resolved event to a runner touches no maps, reads no tape
 // state and cannot fail, which is what makes the fan-out apply loop
-// tight — and what lets a fleet apply events resolved ahead of time on
-// several goroutines at once.
+// tight — and what lets a fleet apply a run of events resolved ahead
+// of time to one runner after another, or from the run's summary.
 type resolved struct {
 	kind  trace.Kind
 	ord   int32 // alloc: new ordinal; free/ptrwrite: target (-1 if unknown)
@@ -574,9 +573,13 @@ type Runner struct {
 
 	// isPolicy/opportunistic/hasProbe cache config tests so the batch
 	// apply loop branches on booleans instead of chasing cfg fields.
+	// summarizes marks a runner with no per-event state (no curve, no
+	// vmem model, not opportunistic): a fleet can apply a whole run to
+	// it from the run's summary (see applySummary).
 	isPolicy      bool
 	opportunistic bool
 	hasProbe      bool
+	summarizes    bool
 
 	clock         core.Time
 	sinceTrigger  uint64
@@ -652,6 +655,7 @@ func newRunner(tp *tape, cfg Config, fleet bool) (*Runner, error) {
 	if cfg.PageFrames > 0 {
 		r.pages = vmem.New(cfg.PageBytes, cfg.PageFrames)
 	}
+	r.summarizes = r.curve == nil && r.pages == nil && !r.opportunistic
 	if p := cfg.Probe; p != nil {
 		p.RunStart(RunStart{
 			Label:         cfg.Label,
@@ -763,12 +767,12 @@ func (r *Runner) FeedBatch(events []trace.Event) error {
 }
 
 // feedLockstep resolves each event and applies it to every runner
-// before resolving the next, the per-event reference order: solo
-// runners and one-runner fleets, which have nothing to shard, feed
-// this way. On error, every runner has applied exactly the events
-// before the offending one.
+// before resolving the next, the per-event reference order. Solo
+// runners feed this way, which keeps the audit oracle's reference leg
+// independent of the fleet's run loop. On error, every runner has
+// applied exactly the events before the offending one.
 //
-//dtbvet:hotpath the solo and one-runner-fleet feed loop
+//dtbvet:hotpath the solo feed loop
 func (tp *tape) feedLockstep(runners []*Runner, events []trace.Event) error {
 	var one [1]resolved
 	for i := range events {
@@ -788,13 +792,13 @@ func (tp *tape) feedLockstep(runners []*Runner, events []trace.Event) error {
 	return nil
 }
 
-// apply runs resolved events through this runner's collector. The
-// events were validated by the tape, so apply cannot fail; everything
-// per event here is per-collector work (memory accounting, trigger
-// bookkeeping, sampling, scavenges). Only a scavenge or a Progress
-// event reads the shared tape or calls out of the runner; Fleet
-// predicts both, so it can apply the events between them on shard
-// goroutines.
+// apply runs resolved events through this runner's collector, one at
+// a time. The events were validated by the tape, so apply cannot fail;
+// everything per event here is per-collector work (memory accounting,
+// trigger bookkeeping, sampling, scavenges). Only a scavenge or a
+// Progress event reads the shared tape or calls out of the runner;
+// Fleet predicts both, so it can apply the events between them a whole
+// run at a time.
 //
 //dtbvet:hotpath the per-runner batch apply loop of every replay
 func (r *Runner) apply(batch []resolved) {
@@ -867,7 +871,7 @@ func (r *Runner) apply(batch []resolved) {
 // scavenge runs one collection; live is the oracle live bytes at the
 // triggering event. It is the one place apply reads the shared tape
 // (the sweep and the policy's boundary queries), so Fleet applies the
-// events that can trigger it on the caller's goroutine, in config
+// events that can trigger it one at a time, to every runner in config
 // order, with the tape resolved exactly up to that event.
 //
 //dtbvet:hotpath one call per simulated collection
@@ -1023,64 +1027,29 @@ func (r *Runner) Finish() *Result {
 // id→ordinal index, validation, the free oracle and the live-byte
 // accounting — across all of them. Each event is resolved once and
 // then applied to every runner, so the per-event map and validation
-// cost is paid once per trace instead of once per collector, and the
-// per-collector apply work is split across shard goroutines (see
-// FeedBatch). Every runner's Result, History and telemetry sequence is
-// bit-identical to a solo run over the same events.
+// cost is paid once per trace instead of once per collector, and most
+// runners take each run of events between horizons from one summary
+// of it (see FeedBatch). Every runner's Result, History and telemetry
+// sequence is bit-identical to a solo run over the same events.
 type Fleet struct {
 	tape     *tape
 	runners  []*Runner
 	finished bool
 
-	// Sharded apply (multi-runner fleets only). buf holds the events
-	// resolved ahead of the next horizon. A run is applied by shards
-	// goroutines — the caller's and shards-1 launched ones — each
-	// claiming runners one at a time from next until none are left,
-	// so a shard that starts late or draws costly runners takes fewer;
-	// wg joins the launched ones. minShardWork is the least work
-	// (events × runners) a run needs before launching is worth it.
-	// shards and minShardWork are fields so tests can force any shard
-	// count and every run onto it.
-	buf          []resolved
-	run          []resolved // the run being applied
-	next         atomic.Int64
-	shards       int
-	minShardWork int
-	wg           sync.WaitGroup
-	launch       func() // f.work bound once: launching it allocates nothing
+	// buf holds the events resolved ahead of the next horizon.
+	// sampleInstr is the instruction of the last alloc or free applied,
+	// where the next run's first memory-statistic interval starts.
+	// perEvent makes every runner apply every run event by event; it
+	// and buf's length are set only by tests (see tuneRuns).
+	buf         []resolved
+	sampleInstr uint64
+	perEvent    bool
 }
 
-// Sharded-apply defaults. A run of fleetRunEvents resolved events
-// (40 bytes each) stays cache-resident while every runner reads it
-// once. Below defaultMinShardWork event applications (100-200 µs of
-// apply) a run stays on the caller: waking another P and moving the
-// run and the runners' state to its cache cost about what the split
-// saves, so fleets of a handful of collectors — the paper matrix, a
-// churn replay — apply serially, and wide fan-outs shard.
-const (
-	fleetRunEvents      = 1024
-	defaultMinShardWork = 16384
-)
-
-// applyClaimed applies the current run to runners claimed one at a
-// time until every runner is taken. Each claimed runner takes the
-// whole run before the next claim — runner-major, so its state stays
-// hot — and no two shards ever touch the same runner.
-func (f *Fleet) applyClaimed() {
-	for {
-		i := int(f.next.Add(1)) - 1
-		if i >= len(f.runners) {
-			return
-		}
-		f.runners[i].apply(f.run)
-	}
-}
-
-// work is a launched shard's body: claim and apply, then join.
-func (f *Fleet) work() {
-	defer f.wg.Done()
-	f.applyClaimed()
-}
+// fleetRunEvents bounds a run: 1024 resolved events (40 bytes each)
+// stay cache-resident while the summary pass and the per-event runners
+// read them.
+const fleetRunEvents = 1024
 
 // NewFleet validates every config before constructing any runner (a
 // bad config halfway through the set would otherwise leave earlier
@@ -1093,7 +1062,7 @@ func NewFleet(cfgs []Config) (*Fleet, error) {
 		}
 	}
 	tp := newTape()
-	f := &Fleet{tape: tp, runners: make([]*Runner, 0, len(cfgs))}
+	f := &Fleet{tape: tp, runners: make([]*Runner, 0, len(cfgs)), buf: make([]resolved, fleetRunEvents)}
 	seen := make(map[core.PolicyInstance]int)
 	for i, cfg := range cfgs {
 		r, err := newRunner(tp, cfg, true)
@@ -1112,13 +1081,34 @@ func NewFleet(cfgs []Config) (*Fleet, error) {
 		f.runners = append(f.runners, r)
 	}
 	tp.compact = tapeCompactionAllowed(f.runners)
-	if len(f.runners) > 1 {
-		f.buf = make([]resolved, fleetRunEvents)
-		f.shards = min(runtime.GOMAXPROCS(0), len(f.runners))
-		f.minShardWork = defaultMinShardWork
-		f.launch = f.work
+	if testRuns.on {
+		tuneRuns(f, testRuns.summary)
 	}
 	return f, nil
+}
+
+// tuneRuns makes f resolve ahead at most 16 events, so runs cut by a
+// full buffer come between nearly every pair of horizons, and, unless
+// summary is set, apply every run to every runner event by event: the
+// per-event leg summary apply is diffed against.
+func tuneRuns(f *Fleet, summary bool) {
+	f.buf = make([]resolved, 16)
+	f.perEvent = !summary
+}
+
+// testRuns, when on, makes NewFleet tune every fleet it builds with
+// tuneRuns. Only TuneRunsForTest sets it.
+var testRuns struct{ on, summary bool }
+
+// TuneRunsForTest makes every fleet built until restore is called cut
+// its runs at 16 events and, unless summary is set, apply them event
+// by event. It is a test hook for packages that replay through the
+// engine and never hold the fleet; it must not run concurrently with
+// NewFleet.
+func TuneRunsForTest(summary bool) (restore func()) {
+	prev := testRuns
+	testRuns.on, testRuns.summary = true, summary
+	return func() { testRuns = prev }
 }
 
 // Runners returns the fleet's runners in config order. They are owned
@@ -1182,30 +1172,23 @@ func (f *Fleet) Events() int { return f.tape.events }
 // or a Progress event, a Mark that fires an opportunistic scavenge, or
 // the event after which the compaction cadence check is due. The
 // events before the horizon read nothing shared (each resolved event
-// carries its own live bytes), so they are applied runner-major across
-// the shards in parallel, and the shards join. The horizon event is
-// then applied to every runner one after another, in config order, on
-// the caller's goroutine, and compaction runs if due. So policy
-// Boundary and Observe calls, probe callbacks and compaction all
-// happen on one goroutine, in lockstep order. The batch end, a full
-// buffer and a resolve error also end a run; on a validation error,
-// every runner has applied exactly the events before the offending
-// one — the fleet stays consistent, and the error is what Runner.Feed
-// would have returned for that event.
-//
-// A one-runner fleet has nothing to shard: it feeds in lockstep and
-// never launches a goroutine. No goroutine outlives the call.
+// carries its own live bytes), so they are applied as one run (see
+// applyRun). The horizon event is then applied to every runner one
+// after another, in config order, and compaction runs if due. So
+// policy Boundary and Observe calls, probe callbacks and compaction
+// all happen in lockstep order, on the caller's goroutine. The batch
+// end, a full buffer and a resolve error also end a run; on a
+// validation error, every runner has applied exactly the events before
+// the offending one — the fleet stays consistent, and the error is
+// what Runner.Feed would have returned for that event.
 //
 //dtbvet:hotpath one call per replay batch: resolve once, apply N times
 func (f *Fleet) FeedBatch(events []trace.Event) error {
 	if f.finished {
 		return errFeedAfterFinish
 	}
-	switch len(f.runners) {
-	case 0:
+	if len(f.runners) == 0 {
 		return nil
-	case 1:
-		return f.tape.feedLockstep(f.runners, events)
 	}
 	tp, buf := f.tape, f.buf
 	n := 0
@@ -1246,6 +1229,9 @@ func (f *Fleet) FeedBatch(events []trace.Event) error {
 		for _, r := range f.runners {
 			r.apply(buf[n : n+1])
 		}
+		if ev.kind == trace.KindAlloc || ev.kind == trace.KindFree {
+			f.sampleInstr = ev.instr
+		}
 		if due {
 			tp.maybeCompact(f.runners)
 		}
@@ -1261,8 +1247,8 @@ func (f *Fleet) FeedBatch(events []trace.Event) error {
 // allocation since the last horizon included) may fire some runner's
 // byte trigger or Progress interval, and a Mark once markLeft bytes
 // have been allocated may fire an opportunistic scavenge. The bounds
-// are conservative: a horizon that fires nothing is applied serially
-// all the same.
+// are conservative: a horizon that fires nothing is applied event by
+// event all the same.
 func (f *Fleet) headroom() (allocLeft, markLeft uint64) {
 	allocLeft, markLeft = math.MaxUint64, math.MaxUint64
 	for _, r := range f.runners {
@@ -1280,30 +1266,126 @@ func (f *Fleet) headroom() (allocLeft, markLeft uint64) {
 	return allocLeft, markLeft
 }
 
+// runSummary is what every summarizing runner needs to know about a
+// run: the same for all of them, computed once per run. Memory
+// statistic intervals run between allocs and frees, so the first one
+// starts at t0, the last alloc or free before the run.
+type runSummary struct {
+	events    int
+	lastInstr uint64
+	// clock0 and clock are the allocation clock before and after the
+	// run; their difference is the bytes it allocated.
+	clock0, clock core.Time
+	// The run's allocs took the contiguous ordinals firstOrd,
+	// firstOrd+1, …: compaction, which rebases ordinals, runs only at
+	// horizons.
+	firstOrd int32
+	allocs   int
+	// t0 and t are the instructions of the last alloc or free before
+	// the run and of the last one by its end (t0 if it has none).
+	// aHi·2^64 + aLo is A = Σ dt_i·clock_{i−1} over the run's allocs
+	// and frees, where dt_i is the instructions since the previous
+	// alloc or free and clock_{i−1} the clock before the i'th (clock_0
+	// = clock0). A runner whose memory-in-use is the clock minus a
+	// constant off over the run has the value integral A − off·(t−t0).
+	t0, t    uint64
+	aHi, aLo uint64
+}
+
+// summarize computes run's summary and advances sampleInstr past it.
+//
+//dtbvet:hotpath one call per run between horizons
+func (f *Fleet) summarize(run []resolved) runSummary {
+	first := &run[0]
+	clock := first.clock
+	if first.kind == trace.KindAlloc {
+		clock = core.TimeAt(clock.Bytes() - first.size)
+	}
+	s := runSummary{events: len(run), lastInstr: run[len(run)-1].instr, clock0: clock, t0: f.sampleInstr}
+	t := f.sampleInstr
+	for k := range run {
+		ev := &run[k]
+		if ev.kind != trace.KindAlloc && ev.kind != trace.KindFree {
+			continue
+		}
+		if ev.kind == trace.KindAlloc {
+			if s.allocs == 0 {
+				s.firstOrd = ev.ord
+			}
+			s.allocs++
+		}
+		hi, lo := bits.Mul64(ev.instr-t, clock.Bytes())
+		var carry uint64
+		s.aLo, carry = bits.Add64(s.aLo, lo, 0)
+		s.aHi += hi + carry
+		t, clock = ev.instr, ev.clock
+	}
+	s.t, s.clock = t, clock
+	f.sampleInstr = t
+	return s
+}
+
 // applyRun applies a run of resolved events that fires no scavenge and
-// no Progress event to every runner: across the shards in parallel
-// when the run is worth it, else on the caller's goroutine. Either way
-// it returns only after every runner has applied the whole run.
+// no Progress event to every runner: from the run's summary where the
+// runner takes it, else event by event. Runners read nothing shared
+// during a run, so the order among them is unobservable; config order
+// keeps it fixed all the same.
 //
 //dtbvet:hotpath one call per run between horizons
 func (f *Fleet) applyRun(run []resolved) {
 	if len(run) == 0 {
 		return
 	}
-	if f.shards < 2 || len(run)*len(f.runners) < f.minShardWork {
-		for _, r := range f.runners {
+	s := f.summarize(run)
+	for _, r := range f.runners {
+		if f.perEvent || !r.summarizes || !r.applySummary(&s) {
 			r.apply(run)
 		}
-		return
 	}
-	f.run = run
-	f.next.Store(0)
-	f.wg.Add(f.shards - 1)
-	for i := 1; i < f.shards; i++ {
-		go f.launch()
+}
+
+// applySummary applies a run to a runner with no per-event state in
+// O(1) beyond the objs fill. Between horizons no scavenge runs, so the
+// runner's bytes in use grow by exactly the clock's growth: its memory
+// is the clock minus off = clock0 − inUse for a policy runner, the
+// clock itself for NoGC, and the Live baseline keeps no memory
+// statistic. It returns false, having changed nothing, when the memory
+// statistic cannot take the run's sums exactly (see
+// stats.Weighted.ObserveRun); the caller then applies the run event by
+// event.
+//
+//dtbvet:hotpath one call per summarizing runner per run
+func (r *Runner) applySummary(s *runSummary) bool {
+	if r.cfg.Mode != ModeLive {
+		var off uint64
+		if r.isPolicy {
+			off = s.clock0.Bytes() - r.inUse
+		}
+		hi, lo := bits.Mul64(off, s.t-s.t0)
+		lo, borrow := bits.Sub64(s.aLo, lo, 0)
+		hi, _ = bits.Sub64(s.aHi, hi, borrow)
+		if !r.memStat.ObserveRun(s.t0, s.clock0.Bytes()-off, s.t, s.clock.Bytes()-off, hi, lo) {
+			return false
+		}
 	}
-	f.applyClaimed()
-	f.wg.Wait()
+	grown := s.clock.Sub(s.clock0)
+	r.inUse += grown
+	r.sinceTrigger += grown
+	if r.hasProbe {
+		r.sinceProgress += grown
+	}
+	r.clock = s.clock
+	r.nEvents += s.events
+	r.lastInstr = s.lastInstr
+	if r.isPolicy && s.allocs > 0 {
+		n := len(r.objs)
+		objs := slices.Grow(r.objs, s.allocs)[:n+s.allocs]
+		for j := range objs[n:] {
+			objs[n+j] = s.firstOrd + int32(j)
+		}
+		r.objs = objs
+	}
+	return true
 }
 
 // Finish closes every runner and returns their Results in config

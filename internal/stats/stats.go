@@ -185,6 +185,58 @@ func (w *Weighted) Finish(t float64) {
 	}
 }
 
+// maxExact is 2^53: every integer in [0, maxExact] is a float64, so
+// float sums, differences and products of such integers whose exact
+// result stays in that range round nowhere.
+const maxExact = 1 << 53
+
+// ObserveRun applies a run of Observe calls in O(1) from exact integer
+// sums. The run starts from the statistic's last point (t0, v0); its
+// times and values are nondecreasing integers, it ends at (t, v), and
+// sumHi·2^64 + sumLo is its value integral Σ (t_i − t_{i−1})·v_{i−1},
+// the first term measured from (t0, v0). A run of no calls is
+// (t0, v0, t0, v0, 0, 0).
+//
+// It applies the sums only where the sequential float path would round
+// nowhere, so the result is bit-identical to observing the run point
+// by point: the statistic has started, its last point is (t0, v0), and
+// t, v and the new weight and value sums are integers at most 2^53.
+// Every time, value, product and partial sum along the sequential path
+// is a nonnegative integer bounded by one of those, so it is exact too.
+// Otherwise ObserveRun changes nothing and returns false, and the
+// caller observes the run one point at a time.
+//
+//dtbvet:hotpath one call per run of a replay, for each summarizing collector
+func (w *Weighted) ObserveRun(t0, v0, t, v, sumHi, sumLo uint64) bool {
+	if !w.started || t < t0 || v < v0 || t > maxExact || v > maxExact || sumHi != 0 || sumLo > maxExact {
+		return false
+	}
+	if math.Float64bits(w.lastT) != math.Float64bits(float64(t0)) || math.Float64bits(w.lastV) != math.Float64bits(float64(v0)) {
+		return false
+	}
+	ws, okW := exactUint(w.weightSum)
+	vs, okV := exactUint(w.valueSum)
+	if !okW || !okV || ws+(t-t0) > maxExact || vs+sumLo > maxExact {
+		return false
+	}
+	w.weightSum = float64(ws + (t - t0))
+	w.valueSum = float64(vs + sumLo)
+	w.lastT, w.lastV = float64(t), float64(v)
+	if w.lastV > w.max {
+		w.max = w.lastV
+	}
+	return true
+}
+
+// exactUint returns x as an integer if it is one in [0, 2^53].
+func exactUint(x float64) (uint64, bool) {
+	if !(x >= 0 && x <= maxExact) {
+		return 0, false
+	}
+	u := uint64(x)
+	return u, math.Float64bits(float64(u)) == math.Float64bits(x)
+}
+
 // Mean returns the time-weighted mean, or 0 if no interval has elapsed.
 func (w *Weighted) Mean() float64 {
 	if w.weightSum == 0 { //dtbvet:ignore floatexact -- exact-zero guard before dividing by the weight sum

@@ -2,9 +2,12 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"github.com/dtbgc/dtbgc/internal/xrand"
 )
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -233,6 +236,119 @@ func TestWeightedTimeRegressionPanics(t *testing.T) {
 	var w Weighted
 	w.Observe(5, 1)
 	w.Observe(4, 1)
+}
+
+// weightedRun is one ObserveRun case: a run of points after the
+// statistic's last point (t0, v0), and its value integral.
+// randomRun's ws and vsum are the statistic's sums before the run, and
+// exact says they are integers inside the window.
+type weightedRun struct {
+	t0, v0   uint64
+	ts, vs   []uint64
+	hi, lo   uint64
+	t, v     uint64
+	straddle bool // the run's sums or points pass 2^53
+}
+
+// randomRun draws a run of up to 12 points after (t0, v0): times
+// nondecreasing with a third of the steps zero, values rising, both
+// scaled by 2^shift so that some runs pass 2^53 and some stay inside.
+func randomRun(rng *xrand.Rand, t0, v0, ws, vsum uint64, exact bool, shift uint) weightedRun {
+	r := weightedRun{t0: t0, v0: v0, t: t0, v: v0}
+	for k := rng.Intn(13); k > 0; k-- {
+		dt := uint64(0)
+		if !rng.Bool(1.0 / 3) {
+			dt = uint64(rng.Int63n(1<<shift)) + 1
+		}
+		hi, lo := bits.Mul64(dt, r.v)
+		var c uint64
+		r.lo, c = bits.Add64(r.lo, lo, 0)
+		r.hi += hi + c
+		r.t += dt
+		r.v += uint64(rng.Int63n(1 << shift))
+		r.ts, r.vs = append(r.ts, r.t), append(r.vs, r.v)
+	}
+	r.straddle = !exact || r.t > 1<<53 || r.v > 1<<53 || r.hi != 0 || r.lo > 1<<53 || ws+(r.t-t0) > 1<<53 || vsum+r.lo > 1<<53
+	return r
+}
+
+// sameWeighted reports whether two statistics agree bit for bit.
+func sameWeighted(a, b *Weighted) bool {
+	fa := []float64{a.lastT, a.lastV, a.weightSum, a.valueSum, a.max}
+	fb := []float64{b.lastT, b.lastV, b.weightSum, b.valueSum, b.max}
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+			return false
+		}
+	}
+	return a.started == b.started
+}
+
+// TestWeightedObserveRunMatchesObserve is the property behind summary
+// apply: inside the exact window ObserveRun leaves every field
+// bit-identical to observing the run point by point — checked through
+// Mean and Max, then through one more Observe — and a run that passes
+// 2^53 anywhere, or a statistic that has not started, makes it return
+// false with the statistic untouched.
+func TestWeightedObserveRunMatchesObserve(t *testing.T) {
+	rng := xrand.New(20240613)
+	applied, refused := 0, 0
+	for c := 0; c < 4000; c++ {
+		shift := uint(4 + rng.Intn(30))
+		var w Weighted
+		tNow, vNow := uint64(rng.Int63n(1<<shift)), uint64(rng.Int63n(1<<shift))
+		w.Observe(float64(tNow), float64(vNow))
+		for k := rng.Intn(4); k > 0; k-- {
+			tNow += uint64(rng.Int63n(1 << shift))
+			vNow += uint64(rng.Int63n(1 << shift))
+			w.Observe(float64(tNow), float64(vNow))
+		}
+		ws, okW := exactUint(w.weightSum)
+		vs, okV := exactUint(w.valueSum)
+		r := randomRun(rng, tNow, vNow, ws, vs, okW && okV, shift)
+
+		seq, sum := w, w
+		for i := range r.ts {
+			seq.Observe(float64(r.ts[i]), float64(r.vs[i]))
+		}
+		ok := sum.ObserveRun(r.t0, r.v0, r.t, r.v, r.hi, r.lo)
+		if r.straddle {
+			refused++
+			if ok || !sameWeighted(&sum, &w) {
+				t.Fatalf("case %d: run passing 2^53 returned %v, statistic changed %v", c, ok, !sameWeighted(&sum, &w))
+			}
+			continue
+		}
+		applied++
+		if !ok {
+			t.Fatalf("case %d: run inside the window refused: %+v", c, r)
+		}
+		next := float64(r.t + uint64(rng.Int63n(1<<shift)))
+		for step := 0; step < 2; step++ {
+			if math.Float64bits(seq.Mean()) != math.Float64bits(sum.Mean()) || math.Float64bits(seq.Max()) != math.Float64bits(sum.Max()) {
+				t.Fatalf("case %d, step %d: ObserveRun mean %v max %v, Observe mean %v max %v", c, step, sum.Mean(), sum.Max(), seq.Mean(), seq.Max())
+			}
+			seq.Observe(next, 1)
+			sum.Observe(next, 1)
+		}
+	}
+	if applied < 1000 || refused < 1000 {
+		t.Fatalf("%d runs inside the window, %d passing it: both kinds need coverage", applied, refused)
+	}
+
+	var fresh Weighted
+	if fresh.ObserveRun(0, 0, 10, 5, 0, 0) || !sameWeighted(&fresh, &Weighted{}) {
+		t.Fatal("ObserveRun on a statistic that has not started")
+	}
+	var w Weighted
+	w.Observe(7, 3)
+	before := w
+	if !w.ObserveRun(7, 3, 7, 3, 0, 0) || !sameWeighted(&w, &before) {
+		t.Fatal("a run of no points changed the statistic")
+	}
+	if w.ObserveRun(6, 3, 9, 3, 0, 6) || !sameWeighted(&w, &before) {
+		t.Fatal("a run starting from another point than the statistic's last was applied")
+	}
 }
 
 func TestWeightedZeroDurationSpikeIgnoredInMeanButNotMax(t *testing.T) {
