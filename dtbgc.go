@@ -186,7 +186,10 @@ func SimulateStream(r io.Reader, opts SimOptions) (*Result, error) {
 // stopping at the first emit error (returned unchanged). It is how
 // the replay engine consumes traces without materializing them:
 // Workload.GenerateTo satisfies the signature directly, and
-// SliceSource/StreamSource adapt the other trace forms.
+// SliceSource/StreamSource adapt the other trace forms. A replay runs
+// its source on a goroutine of its own, one batch ahead of the
+// collectors, and waits for it to return; probes and policies run on
+// the caller's goroutine.
 type EventSource = engine.Source
 
 // SliceSource adapts an in-memory trace to an EventSource.
@@ -247,8 +250,9 @@ func SliceBatchSource(events []Event) BatchEventSource { return engine.SliceBatc
 
 // StreamBatchSource adapts a binary trace stream (as written by
 // WriteTrace) to a BatchEventSource, decoding a whole batch per
-// reader call into a reused buffer; memory stays bounded by the batch
-// size and the simulated heaps.
+// reader call into one of two reused buffers; memory stays bounded by
+// the batch size and the simulated heaps. It decodes on a goroutine of
+// its own, one batch ahead of the collectors.
 func StreamBatchSource(r io.Reader) BatchEventSource {
 	return engine.ReaderBatchSource(trace.NewReader(r))
 }

@@ -75,7 +75,7 @@ func (e *feedError) Unwrap() error { return e.err }
 // On success the checkpoint is nil and the results are exactly
 // Replay's.
 func ReplayResumable(ctx context.Context, src Source, cfgs []sim.Config) ([]*sim.Result, *Checkpoint, error) {
-	return ReplayBatchesResumable(ctx, BatchingSource(src), cfgs)
+	return ReplayBatchesResumable(ctx, batching(ctx, src), cfgs)
 }
 
 // ReplayBatchesResumable is ReplayResumable over a batch-native
@@ -103,7 +103,7 @@ func ReplayBatchesResumable(ctx context.Context, src BatchSource, cfgs []sim.Con
 // The checkpoint owns its fleet: after a successful Resume the runners
 // are finished and the checkpoint must not be resumed again.
 func (c *Checkpoint) Resume(ctx context.Context, src Source) ([]*sim.Result, *Checkpoint, error) {
-	return c.ResumeBatches(ctx, BatchingSource(src))
+	return c.ResumeBatches(ctx, batching(ctx, src))
 }
 
 // ResumeBatches is Resume over a batch-native source.

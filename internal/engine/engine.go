@@ -92,15 +92,23 @@ const cancelCheckEvery = replayBatchEvents
 // it returns unchanged (wrapped errors keep working with errors.Is).
 // Batches are delivery units only — checkpoints remain event-granular
 // (see Checkpoint) — and the slice passed to emit is only valid for
-// the duration of the call.
+// the duration of the call. emit always runs on the goroutine that
+// called the source.
 //
 // A BatchSource that fails mid-stream must emit the events it decoded
 // before the failure first (see BatchingSource): replay checkpoints
 // assume every decoded event before the error reached the runners.
+//
+// BatchingSource and ReaderBatchSource read one batch ahead: they
+// produce the next batch on a second goroutine while emit runs on the
+// current one, and join that goroutine before they return.
+// SliceBatchSource is synchronous: an in-memory slice has no work to
+// overlap.
 type BatchSource func(emit func([]trace.Event) error) error
 
 // SliceBatchSource adapts an in-memory trace to a BatchSource,
-// emitting zero-copy subslices of at most replayBatchEvents events.
+// emitting zero-copy subslices of at most replayBatchEvents events on
+// the caller's goroutine.
 func SliceBatchSource(events []trace.Event) BatchSource {
 	return func(emit func([]trace.Event) error) error {
 		for len(events) > 0 {
@@ -117,53 +125,58 @@ func SliceBatchSource(events []trace.Event) BatchSource {
 // ReaderBatchSource adapts the strict trace decoder to a BatchSource
 // using Reader.ReadBatch: one decode loop fills a reused buffer per
 // batch, so the per-event decoder call overhead is paid once per
-// batch, not once per runner feed.
+// batch, not once per runner feed. The loop runs on a second
+// goroutine, decoding the next batch into the second of two buffers
+// while emit applies the current one (see pipelined). If the decoder
+// fails mid-batch, the events it decoded before the failure are
+// emitted first.
 func ReaderBatchSource(rd *trace.Reader) BatchSource {
-	return func(emit func([]trace.Event) error) error {
-		buf := make([]trace.Event, replayBatchEvents)
+	return pipelined(context.Background(), func(buf []trace.Event, handoff handoffFunc) ([]trace.Event, error) {
 		for {
-			n, err := rd.ReadBatch(buf)
-			if n > 0 {
-				if eerr := emit(buf[:n]); eerr != nil {
-					return eerr
-				}
-			}
+			n, err := rd.ReadBatch(buf[:cap(buf)])
 			if err == io.EOF {
-				return nil
+				return nil, nil
 			}
 			if err != nil {
-				return err
+				return buf[:n], err
+			}
+			if buf, err = handoff(buf[:n]); err != nil {
+				return buf, err
 			}
 		}
-	}
+	})
 }
 
 // BatchingSource adapts a per-event Source to a BatchSource by
-// buffering up to replayBatchEvents events per emit. If the underlying
-// source fails mid-stream, the buffered prefix is flushed before the
-// error is returned, so every event the source produced has reached
-// the runners — exactly the per-event source's behavior, which is what
-// keeps checkpoints event-granular under batching. If both the flush
-// and the source fail, the flush error wins (it decides resumability).
+// buffering up to replayBatchEvents events per emit. The source runs
+// on a second goroutine, filling the next batch while emit applies the
+// current one (see pipelined). If the source fails mid-stream, the
+// buffered prefix is flushed before the error is returned, so every
+// event the source produced has reached the runners — exactly the
+// per-event source's behavior, which is what keeps checkpoints
+// event-granular under batching. If both the flush and the source
+// fail, the flush error wins (it decides resumability).
 func BatchingSource(src Source) BatchSource {
-	return func(emit func([]trace.Event) error) error {
-		buf := make([]trace.Event, 0, replayBatchEvents)
+	return batching(context.Background(), src)
+}
+
+// batching is BatchingSource with its producer checking ctx before
+// every hand-off, so a cancelled replay stops the source within one
+// batch: without it, the producer would fill a second batch before the
+// replay's own ctx check could refuse the first.
+func batching(ctx context.Context, src Source) BatchSource {
+	return pipelined(ctx, func(buf []trace.Event, handoff handoffFunc) ([]trace.Event, error) {
 		err := src(func(e trace.Event) error {
 			buf = append(buf, e)
-			if len(buf) == cap(buf) {
-				ferr := emit(buf)
-				buf = buf[:0]
-				return ferr
+			if len(buf) < cap(buf) {
+				return nil
 			}
-			return nil
+			var herr error
+			buf, herr = handoff(buf)
+			return herr
 		})
-		if len(buf) > 0 {
-			if ferr := emit(buf); ferr != nil {
-				return ferr
-			}
-		}
-		return err
-	}
+		return buf, err
+	})
 }
 
 // Replay feeds the source's events once to one fresh runner per config
@@ -176,7 +189,10 @@ func BatchingSource(src Source) BatchSource {
 // included) is bit-identical to an independent run over the same
 // trace. A runner's feed error aborts the replay labelled with that
 // collector's name; a source error aborts it unchanged; cancellation
-// of ctx is detected between events and returns ctx's error.
+// of ctx is checked once per batch, before the batch is applied, and
+// returns ctx's error. The source runs on a second goroutine, one
+// batch ahead of the runners (see BatchingSource), and stops within
+// one batch of a cancellation.
 func Replay(ctx context.Context, src Source, cfgs []sim.Config) ([]*sim.Result, error) {
 	// Config validation happens before constructing any runner (see
 	// ReplayBatchesResumable): construction emits the probe's RunStart,
