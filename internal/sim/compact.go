@@ -8,10 +8,10 @@ package sim
 // again, in the same way age-segregated collectors discard whole dead
 // generations. Once every runner has also reclaimed those objects
 // from its own heap, the ordinal prefix is unreachable from every
-// side and can be retired: its index entries deleted (summarized into
-// retired ID spans so duplicate-allocation detection survives), the
-// per-ordinal arrays shifted down behind a sliding base, every
-// retained ordinal rebased, and the bucket prefix trimmed. Replay
+// side and can be retired: its IDs summarized into retired ID spans
+// (so duplicate-allocation detection survives) and dropped from the
+// index, the per-ordinal arrays shifted down behind a sliding base,
+// every retained ordinal rebased, and the bucket prefix trimmed. Replay
 // memory then tracks the live set plus one birth epoch instead of the
 // total number of objects traced.
 //
@@ -32,8 +32,9 @@ import (
 
 // Compaction defaults. The cadence keeps the check off the per-event
 // path; the retire and trim minimums amortize the O(retained) shift
-// and map rewrite so compaction costs O(1) per event and the arrays
-// never hold more than ~4/3 of their retired high-water mark.
+// (and, on the index's map arm, map rewrite) so compaction costs O(1)
+// per event and the arrays never hold more than ~4/3 of their retired
+// high-water mark.
 const (
 	compactCheckEvery     = 4096
 	compactMinRetire      = 4096
@@ -124,18 +125,25 @@ func (tp *tape) maybeCompact(runners []*Runner) {
 // retire drops the first k ordinals from the tape: their IDs leave
 // the index into the retired span summary, the per-ordinal arrays
 // shift down in place (capacity is reused — the arrays' footprint is
-// their retained high-water mark), the surviving index entries are
-// rebased, and every runner shifts its own per-ordinal state.
+// their retained high-water mark), the index is rebased, and every
+// runner shifts its own per-ordinal state. On the index's arithmetic
+// arm the rebase is the base advancing by k; the map arm deletes the
+// retired entries and rewrites every retained one.
 func (tp *tape) retire(k int, runners []*Runner) {
-	for i := 0; i < k; i++ {
-		id := tp.ids[i]
-		delete(tp.index, id)
+	for _, id := range tp.ids[:k] {
 		tp.retired.add(id)
 	}
-	d := int32(k)
-	//dtbvet:ignore determinism -- order-insensitive rebase: every value is adjusted independently, no fold over map order
-	for id, ord := range tp.index {
-		tp.index[id] = ord - d
+	if tp.index == nil {
+		tp.idBase += trace.ObjectID(k)
+	} else {
+		for _, id := range tp.ids[:k] {
+			delete(tp.index, id)
+		}
+		d := int32(k)
+		//dtbvet:ignore determinism -- order-insensitive rebase: every value is adjusted independently, no fold over map order
+		for id, ord := range tp.index {
+			tp.index[id] = ord - d
+		}
 	}
 	tp.ids = tp.ids[:copy(tp.ids, tp.ids[k:])]
 	tp.sizes = tp.sizes[:copy(tp.sizes, tp.sizes[k:])]

@@ -239,6 +239,7 @@ func compactedRunner(t *testing.T) *Runner {
 func TestRetiredIDReuseRejected(t *testing.T) {
 	r := compactedRunner(t)
 	instr := uint64(1 << 20)
+	before := r.TapeStats()
 	err := r.Feed(trace.Alloc(1, 64, instr))
 	if err == nil {
 		t.Fatal("reuse of a retired trace ID accepted as a fresh allocation")
@@ -246,7 +247,6 @@ func TestRetiredIDReuseRejected(t *testing.T) {
 	if !strings.Contains(err.Error(), "duplicate allocation of object 1") {
 		t.Fatalf("retired-ID reuse error = %q, want a duplicate-allocation error", err)
 	}
-	before := r.TapeStats()
 	// The failed resolve must leave the tape untouched.
 	if after := r.TapeStats(); after != before {
 		t.Fatalf("failed alloc mutated the tape: %+v -> %+v", before, after)
@@ -336,16 +336,21 @@ func TestTapeOrdinalLimit(t *testing.T) {
 	}
 	r.tape.ordLimit = 4
 	b := trace.NewBuilder()
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 4; i++ {
 		b.Advance(10)
 		b.Alloc(64)
 	}
-	ferr := r.FeedBatch(b.Events())
+	// The rejected 5th alloc breaks the ID sequence: the failed resolve
+	// must not move the index off its arithmetic arm either.
+	ferr := r.FeedBatch(append(b.Events(), trace.Alloc(100, 64, 50)))
 	if ferr == nil {
 		t.Fatal("5th retained object accepted past an ordinal limit of 4")
 	}
 	if !strings.Contains(ferr.Error(), "tape ordinal limit") {
 		t.Fatalf("overflow error = %q, want a tape-ordinal-limit error", ferr)
+	}
+	if r.tape.index != nil {
+		t.Fatal("rejected non-consecutive alloc moved the index onto its map arm")
 	}
 
 	// With compaction retiring the dead prefix, total objects can
@@ -375,7 +380,8 @@ func TestMaxBucketsGuard(t *testing.T) {
 	if err := tp.resolve(trace.Alloc(1, 64, 1), &out); err != nil {
 		t.Fatal(err)
 	}
-	err := tp.resolve(trace.Alloc(2, 5<<birthBucketShift, 2), &out)
+	// ID 3 skips 2: the rejected alloc also breaks the ID sequence.
+	err := tp.resolve(trace.Alloc(3, 5<<birthBucketShift, 2), &out)
 	if err == nil {
 		t.Fatal("allocation past the bucket range accepted")
 	}
@@ -384,6 +390,9 @@ func TestMaxBucketsGuard(t *testing.T) {
 	}
 	if tp.events != 1 || len(tp.sizes) != 1 {
 		t.Fatalf("failed alloc mutated the tape: %d events, %d ordinals", tp.events, len(tp.sizes))
+	}
+	if tp.index != nil {
+		t.Fatal("rejected non-consecutive alloc moved the index onto its map arm")
 	}
 }
 

@@ -14,3 +14,11 @@ func SetCompactionCadence(f *Fleet, every int) {
 	aggressive(f.tape)
 	f.tape.checkEvery = every
 }
+
+// TapeIndexMapped reports whether f's tape resolves trace IDs through
+// its map rather than by arithmetic (see tape.lookup).
+func TapeIndexMapped(f *Fleet) bool { return f.tape.index != nil }
+
+// CompactingChurnTrace is compactingChurnTrace: n objects of pure
+// churn, built by trace.Builder, with marks and pointer writes.
+var CompactingChurnTrace = compactingChurnTrace

@@ -257,7 +257,15 @@ func fleetRun(t *testing.T, events []trace.Event, cfgs []sim.Config, probe bool,
 	return run
 }
 
-// fuzzSeeds are small paper-workload and churn traces as fuzz streams.
+// fuzzSeeds are small paper-workload and churn traces as fuzz
+// streams. Most number their objects consecutively, so the fleet's
+// tape resolves them by arithmetic while the reference leg's
+// (ReferenceScan) uses its id map. The last three do not: a windowed
+// trace, whose survivors' gapped IDs move the fleet's tape onto its
+// map at the second alloc; a churn whose one gap comes after
+// compaction has retired a prefix, so the map is built from the
+// retained IDs; and a churn whose IDs wrap past 2^64−1, which stays
+// on the arithmetic arm.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
 	for _, p := range []workload.Profile{workload.Cfrac(), workload.Sis(), workload.Espresso1()} {
@@ -267,20 +275,47 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		}
 		seeds = append(seeds, encodeFuzzEvents(events))
 	}
+	seeds = append(seeds, encodeFuzzEvents(seedChurn(300, 64, func(i int) trace.ObjectID { return trace.ObjectID(i) })))
+
+	// A window's survivors keep their original, gapped IDs.
+	events, err := workload.Ghost1().Scale(0.002).Generate()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	windowed, err := trace.Window(events, events[len(events)/2].Instr, events[len(events)-1].Instr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// Objects of ~4 KB fill a 64 KB birth bucket every 16 allocs, so
+	// dead buckets, and then retired prefixes, come early.
+	gapped := seedChurn(200, 4096, func(i int) trace.ObjectID {
+		if i >= 150 {
+			return trace.ObjectID(i + 7)
+		}
+		return trace.ObjectID(i)
+	})
+	wrapping := seedChurn(200, 4096, func(i int) trace.ObjectID { return trace.ObjectID(i) - 150 })
+	return append(seeds, encodeFuzzEvents(windowed), encodeFuzzEvents(gapped), encodeFuzzEvents(wrapping))
+}
+
+// seedChurn is pure churn over n objects: object i, numbered id(i),
+// has size base+i%7*32 and is freed once object i+12 is born, with a
+// mark every 25 objects and a pointer write every 5.
+func seedChurn(n int, base uint64, id func(i int) trace.ObjectID) []trace.Event {
 	var churn []trace.Event
-	for i := 1; i <= 300; i++ {
-		churn = append(churn, trace.Alloc(trace.ObjectID(i), uint64(64+i%7*32), uint64(i*40)))
+	for i := 1; i <= n; i++ {
+		churn = append(churn, trace.Alloc(id(i), base+uint64(i%7*32), uint64(i*40)))
 		if i%25 == 0 {
 			churn = append(churn, trace.Mark("phase", uint64(i*40+1)))
 		}
 		if i%5 == 0 {
-			churn = append(churn, trace.PtrWrite(trace.ObjectID(i), 0, trace.NilObject, uint64(i*40+1)))
+			churn = append(churn, trace.PtrWrite(id(i), 0, trace.NilObject, uint64(i*40+1)))
 		}
 		if i > 12 {
-			churn = append(churn, trace.Free(trace.ObjectID(i-12), uint64(i*40+2)))
+			churn = append(churn, trace.Free(id(i-12), uint64(i*40+2)))
 		}
 	}
-	return append(seeds, encodeFuzzEvents(churn))
+	return churn
 }
 
 // TestFuzzStreamRoundTrip: the seed corpus is the real traces it
@@ -316,6 +351,9 @@ func FuzzFleetVsReference(f *testing.F) {
 		f.Add(seed, []byte{7, 200, 33}, i%2 == 1, uint16(64), true, uint16(0), true, uint16(0))
 		f.Add(seed, []byte{255}, i%2 == 0, uint16(8), false, uint16(16), false, uint16(0x0611))
 		f.Add(seed, []byte{}, i%2 == 1, uint16(200), true, uint16(40), true, uint16(0x00f1))
+		// Only collectors that reclaim everything dead, so compaction
+		// retires prefixes: before a sequence break, or across a wrap.
+		f.Add(seed, []byte{16, 5}, i%2 == 0, uint16(64), false, uint16(0), i%2 == 1, uint16(0x0701))
 	}
 	// Instruction gaps up to 2^34 carry the memory integrals past 2^53,
 	// where summary apply must hand runs back to per-event apply.

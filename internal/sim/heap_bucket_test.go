@@ -30,6 +30,7 @@ func buildBucketTestTape(t testing.TB, objects int) (*tape, []core.Time) {
 	g := lcg(12345)
 	births := make([]core.Time, 0, objects)
 	var out resolved
+	freed := 0
 	for i := 0; i < objects; i++ {
 		// Sizes up to ~20 KB guarantee births land in many distinct
 		// 64 KB buckets and frequently straddle bucket boundaries.
@@ -41,12 +42,16 @@ func buildBucketTestTape(t testing.TB, objects int) (*tape, []core.Time) {
 		// Kill roughly half of the recent past.
 		if i > 0 && g.next()%2 == 0 {
 			victim := trace.ObjectID(1 + g.next()%uint64(i))
-			if ord, ok := tp.index[victim]; ok && !tp.dead[ord] {
+			if ord, ok := tp.lookup(victim); ok && !tp.dead[ord] {
 				if err := tp.resolve(trace.Free(victim, uint64(i)), &out); err != nil {
 					t.Fatalf("free %d: %v", victim, err)
 				}
+				freed++
 			}
 		}
+	}
+	if 4*freed < objects {
+		t.Fatalf("freed %d of %d objects, want at least a quarter", freed, objects)
 	}
 	return tp, births
 }
@@ -79,7 +84,9 @@ func TestLiveBytesBornAfterTracksMutation(t *testing.T) {
 	g := lcg(99)
 	var births []core.Time
 	var out resolved
-	for i := 0; i < 2000; i++ {
+	freed := 0
+	const objects = 2000
+	for i := 0; i < objects; i++ {
 		size := 8 + g.next()%5000
 		if err := tp.resolve(trace.Alloc(trace.ObjectID(i+1), size, uint64(i)), &out); err != nil {
 			t.Fatalf("alloc: %v", err)
@@ -87,10 +94,11 @@ func TestLiveBytesBornAfterTracksMutation(t *testing.T) {
 		births = append(births, tp.clock)
 		if i%3 == 2 {
 			victim := trace.ObjectID(1 + g.next()%uint64(i))
-			if ord, ok := tp.index[victim]; ok && !tp.dead[ord] {
+			if ord, ok := tp.lookup(victim); ok && !tp.dead[ord] {
 				if err := tp.resolve(trace.Free(victim, uint64(i)), &out); err != nil {
 					t.Fatalf("free: %v", err)
 				}
+				freed++
 			}
 		}
 		if i%100 == 50 {
@@ -99,6 +107,9 @@ func TestLiveBytesBornAfterTracksMutation(t *testing.T) {
 				t.Fatalf("step %d: liveBytesBornAfter(%d) = %d, naive says %d", i, q.Bytes(), got, want)
 			}
 		}
+	}
+	if 4*freed < objects {
+		t.Fatalf("freed %d of %d objects, want at least a quarter", freed, objects)
 	}
 }
 

@@ -125,11 +125,15 @@ type Config struct {
 
 	// ReferenceScan routes every boundary query (LiveBytesBornAfter)
 	// through the O(live objects) reference tail scan instead of the
-	// birth-epoch bucket accounting. The two are identical by
-	// construction — the differential oracle (internal/audit) replays
-	// one side of its comparison on this path to keep them provably
-	// so. Queries run only at policy decisions, so even the naive scan
-	// costs little; leave this off outside audits and debugging.
+	// birth-epoch bucket accounting, and starts the tape's id→ordinal
+	// index on its map arm instead of resolving consecutively numbered
+	// objects by arithmetic. Each pair is identical by construction —
+	// the differential oracle (internal/audit) replays one side of its
+	// comparison on this path to keep them provably so. Queries run
+	// only at policy decisions, so even the naive scan costs little;
+	// leave this off outside audits and debugging. In a Fleet the tape
+	// is shared, so one config with this set puts the whole fleet's
+	// index on the map.
 	ReferenceScan bool
 
 	// UncompactedTape disables epoch-based compaction of dead tape
@@ -301,12 +305,23 @@ type resolved struct {
 // lifetime of a trace (see trace.Validate), and an ID that reuses a
 // retired object's number is still rejected as a duplicate
 // allocation.
+//
+// The id→ordinal index has two arms. While every alloc has taken the
+// ID one past the previous alloc's (modulo 2^64), a retained ID's
+// ordinal is id − idBase and index stays nil: no map is touched per
+// event, and retiring a prefix just advances idBase. Every producer
+// in the module numbers objects that way — the workload generator,
+// mheap and trace.Builder. The first alloc that breaks the sequence
+// (a windowed trace's survivors, an arbitrary upload) builds the map
+// from the retained ids once, and the tape stays on the map from
+// then on; Config.ReferenceScan starts it there.
 type tape struct {
-	index  map[trace.ObjectID]int32
-	ids    []trace.ObjectID // per ordinal: reverse of index, so retiring a prefix can delete its entries
-	sizes  []uint64         // per ordinal
-	births []core.Time      // per ordinal, nondecreasing
-	dead   []bool           // per ordinal: freed by the program
+	index  map[trace.ObjectID]int32 // nil on the arithmetic arm (see lookup)
+	idBase trace.ObjectID           // arithmetic arm: the ID of ordinal 0
+	ids    []trace.ObjectID         // per ordinal: retire summarizes retired IDs from it, mapIndex keys the map by it
+	sizes  []uint64                 // per ordinal
+	births []core.Time              // per ordinal, nondecreasing
+	dead   []bool                   // per ordinal: freed by the program
 
 	live uint64 // live bytes (the oracle)
 	// liveStat is the time-weighted oracle live-byte statistic,
@@ -355,12 +370,25 @@ type tape struct {
 
 func newTape() *tape {
 	return &tape{
-		index:          make(map[trace.ObjectID]int32),
 		checkEvery:     compactCheckEvery,
 		minRetire:      compactMinRetire,
 		minTrimBuckets: compactMinTrimBuckets,
 		ordLimit:       math.MaxInt32,
 		maxBuckets:     1 << 31,
+	}
+}
+
+// configure settles what the runners sharing the tape decide for it
+// together: whether it compacts (see tapeCompactionAllowed), and
+// whether its index starts on the map arm, which Config.ReferenceScan
+// on any runner selects.
+func (tp *tape) configure(runners []*Runner) {
+	tp.compact = tapeCompactionAllowed(runners)
+	for _, r := range runners {
+		if r.cfg.ReferenceScan {
+			tp.mapIndex()
+			return
+		}
 	}
 }
 
@@ -377,7 +405,7 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 	}
 	switch e.Kind {
 	case trace.KindAlloc:
-		if _, dup := tp.index[e.ID]; dup {
+		if _, dup := tp.lookup(e.ID); dup {
 			return fmt.Errorf("sim: event %d: duplicate allocation of object %d", i, e.ID)
 		}
 		// An ID missing from the index may still have been seen and
@@ -394,7 +422,19 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 			return fmt.Errorf("sim: event %d: birth bucket %d out of range (base %d, limit %d buckets)", i, b, tp.bucketBase, tp.maxBuckets)
 		}
 		ord := int32(len(tp.sizes))
-		tp.index[e.ID] = ord
+		// Every check has passed, so only now may the alloc move the
+		// index off its arithmetic arm. The trace's first alloc sets
+		// the base instead.
+		if tp.index == nil && e.ID != tp.idBase+trace.ObjectID(ord) {
+			if tp.retiredOrds == 0 && ord == 0 {
+				tp.idBase = e.ID
+			} else {
+				tp.mapIndex()
+			}
+		}
+		if tp.index != nil {
+			tp.index[e.ID] = ord
+		}
 		tp.clock = clock
 		tp.ids = append(tp.ids, e.ID)
 		tp.sizes = append(tp.sizes, e.Size)
@@ -409,7 +449,7 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 		tp.liveStat.Observe(float64(e.Instr), float64(tp.live))
 		*out = resolved{kind: trace.KindAlloc, ord: ord, size: e.Size, instr: e.Instr, clock: clock, live: tp.live}
 	case trace.KindFree:
-		ord, ok := tp.index[e.ID]
+		ord, ok := tp.lookup(e.ID)
 		if !ok {
 			// A retired object was dead when it left the tape, so a free
 			// of its ID is the double free it would have been before
@@ -439,7 +479,7 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 		// to the uncompacted tape, because retirement requires every
 		// runner to have reclaimed the object already, and reclaimed
 		// objects are not touched either way.
-		ord, ok := tp.index[e.ID]
+		ord, ok := tp.lookup(e.ID)
 		if !ok {
 			ord = -1
 		}
@@ -452,6 +492,30 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 	tp.lastInstr = e.Instr
 	tp.events++
 	return nil
+}
+
+// lookup returns the ordinal of a retained trace ID. On the
+// arithmetic arm that is one subtraction: an ID below the base wraps
+// to a difference past the retained range, so one unsigned comparison
+// rejects IDs on either side of it.
+func (tp *tape) lookup(id trace.ObjectID) (int32, bool) {
+	if tp.index == nil {
+		if d := uint64(id - tp.idBase); d < uint64(len(tp.sizes)) {
+			return int32(d), true
+		}
+		return 0, false
+	}
+	ord, ok := tp.index[id]
+	return ord, ok
+}
+
+// mapIndex moves the index onto its map arm for good, keyed by the
+// retained IDs.
+func (tp *tape) mapIndex() {
+	tp.index = make(map[trace.ObjectID]int32, len(tp.ids))
+	for ord, id := range tp.ids {
+		tp.index[id] = int32(ord)
+	}
 }
 
 // liveBytesBornAfter is the bucketed boundary query over the tape.
@@ -619,7 +683,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		return nil, err
 	}
 	r.tapeRunners = []*Runner{r}
-	tp.compact = tapeCompactionAllowed(r.tapeRunners)
+	tp.configure(r.tapeRunners)
 	return r, nil
 }
 
@@ -1080,7 +1144,7 @@ func NewFleet(cfgs []Config) (*Fleet, error) {
 		}
 		f.runners = append(f.runners, r)
 	}
-	tp.compact = tapeCompactionAllowed(f.runners)
+	tp.configure(f.runners)
 	if testRuns.on {
 		tuneRuns(f, testRuns.summary)
 	}
