@@ -199,7 +199,7 @@ func SliceSource(events []Event) EventSource { return engine.SliceSource(events)
 // to an EventSource; events decode one at a time, so replaying an
 // arbitrarily long capture uses memory bounded by the simulated
 // heaps.
-func StreamSource(r io.Reader) EventSource { return engine.ReaderSource(trace.NewReader(r)) }
+func StreamSource(r io.Reader) EventSource { return engine.EventReaderSource(trace.NewReader(r)) }
 
 // DropStats is the recovery decoder's accounting of what a damaged
 // trace lost: typed drop counts plus the exact bytes skipped. The zero
@@ -234,36 +234,6 @@ func ReplayAll(ctx context.Context, src EventSource, opts []SimOptions) ([]*Resu
 		cfgs[i] = o.config()
 	}
 	return engine.Replay(ctx, src, cfgs)
-}
-
-// BatchEventSource streams one trace as event batches to an emit
-// callback — the batch-native form of EventSource the replay engine
-// actually runs on. Emitted slices are only valid during the emit
-// call. ReplayAll wraps any EventSource into batches automatically;
-// sources that can produce batches natively (SliceBatchSource,
-// StreamBatchSource) skip that buffering.
-type BatchEventSource = engine.BatchSource
-
-// SliceBatchSource adapts an in-memory trace to a BatchEventSource,
-// emitting zero-copy subslices.
-func SliceBatchSource(events []Event) BatchEventSource { return engine.SliceBatchSource(events) }
-
-// StreamBatchSource adapts a binary trace stream (as written by
-// WriteTrace) to a BatchEventSource, decoding a whole batch per
-// reader call into one of two reused buffers; memory stays bounded by
-// the batch size and the simulated heaps. It decodes on a goroutine of
-// its own, one batch ahead of the collectors.
-func StreamBatchSource(r io.Reader) BatchEventSource {
-	return engine.ReaderBatchSource(trace.NewReader(r))
-}
-
-// ReplayAllBatches is ReplayAll over a batch-native source.
-func ReplayAllBatches(ctx context.Context, src BatchEventSource, opts []SimOptions) ([]*Result, error) {
-	cfgs := make([]sim.Config, len(opts))
-	for i, o := range opts {
-		cfgs[i] = o.config()
-	}
-	return engine.ReplayBatches(ctx, src, cfgs)
 }
 
 // Checkpoint captures a consistent interrupted replay, resumable via

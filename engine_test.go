@@ -1,7 +1,6 @@
 package dtbgc
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -165,41 +164,5 @@ func TestEvalContextCancellation(t *testing.T) {
 	}
 	if ev != nil {
 		t.Error("cancelled evaluation returned a partial Evaluation")
-	}
-}
-
-// TestReplayAllBatchesEquivalence pins the facade's batch-native entry
-// points to ReplayAll: slice batches and stream-decoded batches must
-// both reproduce the per-event source's results exactly.
-func TestReplayAllBatchesEquivalence(t *testing.T) {
-	w := Workloads()[0].Scale(0.005)
-	events, err := w.Generate()
-	if err != nil {
-		t.Fatalf("generate: %v", err)
-	}
-	var enc bytes.Buffer
-	if err := WriteTrace(&enc, events); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-
-	want, err := ReplayAll(context.Background(), SliceSource(events), equivalenceMatrix(w.Name, nil))
-	if err != nil {
-		t.Fatalf("ReplayAll: %v", err)
-	}
-
-	sources := map[string]BatchEventSource{
-		"SliceBatchSource":  SliceBatchSource(events),
-		"StreamBatchSource": StreamBatchSource(bytes.NewReader(enc.Bytes())),
-	}
-	for name, src := range sources {
-		got, err := ReplayAllBatches(context.Background(), src, equivalenceMatrix(w.Name, nil))
-		if err != nil {
-			t.Fatalf("%s: ReplayAllBatches: %v", name, err)
-		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("%s: result for %s differs from per-event ReplayAll", name, want[i].Collector)
-			}
-		}
 	}
 }

@@ -153,7 +153,7 @@ func interrupted(t *testing.T, events []trace.Event, enc []byte, k, interrupt, s
 		case interruptCancel:
 			perEvent = fault.NewPlan(fault.Fault{Kind: fault.Cancel, Offset: uint64(k)}).Source(engine.SliceSource(events), cancel)
 		default:
-			perEvent = engine.ReaderSource(trace.NewReader(bytes.NewReader(cut)))
+			perEvent = engine.EventReaderSource(trace.NewReader(bytes.NewReader(cut)))
 		}
 		if shape == shapeBatching {
 			batches = engine.BatchingSource(perEvent)

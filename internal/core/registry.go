@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,13 +82,13 @@ func parseBandit(spec, arg string) (Policy, error) {
 		switch key {
 		case "eps":
 			p, err := strconv.ParseFloat(val, 64)
-			if err != nil || p < 0 || p > 1 {
+			if err != nil || !(p >= 0 && p <= 1) {
 				return nil, fmt.Errorf("core: policy %q: eps must be a probability in [0,1], got %q", spec, val)
 			}
 			b.Eps, hasEps = p, true
 		case "ucb":
 			c, err := strconv.ParseFloat(val, 64)
-			if err != nil || c <= 0 {
+			if err != nil || !(c > 0) || math.IsInf(c, 1) {
 				return nil, fmt.Errorf("core: policy %q: ucb must be a positive coefficient, got %q", spec, val)
 			}
 			b.UCB, hasUCB = c, true
@@ -122,7 +123,7 @@ func parseGradient(spec, arg string, hasArg bool) (Policy, error) {
 		switch key {
 		case "rate":
 			r, err := strconv.ParseFloat(val, 64)
-			if err != nil || r <= 0 || r > 10 {
+			if err != nil || !(r > 0 && r <= 10) {
 				return nil, fmt.Errorf("core: policy %q: rate must be a positive learning rate <= 10, got %q", spec, val)
 			}
 			g.Rate = r

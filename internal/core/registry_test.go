@@ -49,8 +49,9 @@ func TestParsePolicyInvalid(t *testing.T) {
 		"dtbmem:-5", "feedmed:1.5k",
 		"bandit", "bandit:", "bandit:eps", "bandit:eps=2", "bandit:eps=-0.1",
 		"bandit:ucb=0", "bandit:ucb=-1", "bandit:eps=0.1,ucb=1",
+		"bandit:eps=NaN", "bandit:ucb=NaN", "bandit:ucb=Inf",
 		"bandit:eps=0.1,arms=1", "bandit:eps=0.1,arms=x", "bandit:k=3",
-		"grad:rate=0", "grad:rate=-1", "grad:rate", "grad:trace=0",
+		"grad:rate=0", "grad:rate=-1", "grad:rate", "grad:rate=NaN", "grad:trace=0",
 		"grad:trace=abc", "grad:bogus=1",
 	}
 	for _, spec := range cases {

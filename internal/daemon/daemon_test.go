@@ -15,6 +15,8 @@ import (
 
 	dtbgc "github.com/dtbgc/dtbgc"
 	"github.com/dtbgc/dtbgc/internal/audit"
+	"github.com/dtbgc/dtbgc/internal/engine"
+	"github.com/dtbgc/dtbgc/internal/sim"
 	"github.com/dtbgc/dtbgc/internal/trace"
 )
 
@@ -34,11 +36,11 @@ func directEval(t *testing.T, req EvalRequest) (*dtbgc.Result, string) {
 		tw = dtbgc.NewTelemetryWriter(&telBuf)
 		probe = tw
 	}
-	opts, err := req.options(probe)
+	cfg, err := req.config(probe)
 	if err != nil {
-		t.Fatalf("options: %v", err)
+		t.Fatalf("config: %v", err)
 	}
-	var results []*dtbgc.Result
+	var results []*sim.Result
 	if req.TraceDigest != "" {
 		t.Fatalf("directEval drives workloads; replay traces inline")
 	}
@@ -46,9 +48,9 @@ func directEval(t *testing.T, req EvalRequest) (*dtbgc.Result, string) {
 	if err != nil {
 		t.Fatalf("LookupWorkload: %v", err)
 	}
-	results, err = dtbgc.ReplayAll(context.Background(), dtbgc.EventSource(w.Scale(req.Scale).GenerateTo), []dtbgc.SimOptions{opts})
+	results, err = engine.Replay(context.Background(), engine.Source(w.Scale(req.Scale).GenerateTo), []sim.Config{cfg})
 	if err != nil {
-		t.Fatalf("ReplayAll: %v", err)
+		t.Fatalf("Replay: %v", err)
 	}
 	if tw != nil && tw.Err() != nil {
 		t.Fatalf("telemetry: %v", tw.Err())
@@ -172,9 +174,9 @@ func TestEvalTraceBitIdentity(t *testing.T) {
 	if resp.Source != "tape" {
 		t.Fatalf("trace eval Source = %q, want tape", resp.Source)
 	}
-	want, err := dtbgc.Simulate(events, mustOptions(t, req))
+	want, err := sim.Run(events, mustConfig(t, req))
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if diffs := audit.DiffResults(decodeResult(t, resp), want); len(diffs) > 0 {
 		t.Fatalf("trace eval differs from direct Simulate:\n%s", strings.Join(diffs, "\n"))
@@ -192,16 +194,16 @@ func TestEvalTraceBitIdentity(t *testing.T) {
 	}
 }
 
-func mustOptions(t *testing.T, req EvalRequest) dtbgc.SimOptions {
+func mustConfig(t *testing.T, req EvalRequest) sim.Config {
 	t.Helper()
 	if err := req.normalize(); err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
-	opts, err := req.options(nil)
+	cfg, err := req.config(nil)
 	if err != nil {
-		t.Fatalf("options: %v", err)
+		t.Fatalf("config: %v", err)
 	}
-	return opts
+	return cfg
 }
 
 // TestEvalConcurrentBitIdentity hammers the daemon with distinct

@@ -32,6 +32,7 @@ import (
 
 	dtbgc "github.com/dtbgc/dtbgc"
 	"github.com/dtbgc/dtbgc/internal/engine"
+	"github.com/dtbgc/dtbgc/internal/sim"
 	"github.com/dtbgc/dtbgc/internal/trace"
 )
 
@@ -228,13 +229,13 @@ func (r *EvalRequest) memoKey() string {
 	return b.String()
 }
 
-// options maps the normalized request onto the same SimOptions dtbsim
-// builds — the single place the daemon's and the CLI's configuration
-// can agree or drift, pinned by the bit-identity tests.
-func (r *EvalRequest) options(probe dtbgc.Probe) (dtbgc.SimOptions, error) {
-	opts := dtbgc.SimOptions{
+// config maps the normalized request onto the same simulator config
+// dtbsim's options build — the single place the daemon's and the CLI's
+// configuration can agree or drift, pinned by the bit-identity tests.
+func (r *EvalRequest) config(probe dtbgc.Probe) (sim.Config, error) {
+	cfg := sim.Config{
 		PolicySeed:    r.PolicySeed,
-		Machine:       dtbgc.Machine{MIPS: r.Machine.MIPS, TraceBytesPer: r.Machine.TraceBytesPer},
+		Machine:       sim.Machine{MIPS: r.Machine.MIPS, TraceBytesPer: r.Machine.TraceBytesPer},
 		TriggerBytes:  r.TriggerBytes,
 		Opportunistic: r.Opportunistic,
 		PageFrames:    r.PageFrames,
@@ -244,17 +245,17 @@ func (r *EvalRequest) options(probe dtbgc.Probe) (dtbgc.SimOptions, error) {
 	}
 	switch r.Baseline {
 	case "nogc":
-		opts.NoGC = true
+		cfg.Mode = sim.ModeNoGC
 	case "live":
-		opts.LiveOracle = true
+		cfg.Mode = sim.ModeLive
 	default:
 		p, err := dtbgc.ParsePolicy(r.Policy)
 		if err != nil {
-			return dtbgc.SimOptions{}, &errBadRequest{err: err}
+			return sim.Config{}, &errBadRequest{err: err}
 		}
-		opts.Policy = p
+		cfg.Mode, cfg.Policy = sim.ModePolicy, p
 	}
-	return opts, nil
+	return cfg, nil
 }
 
 // evaluate runs one cold evaluation on the bounded pool and returns
@@ -279,12 +280,12 @@ func (s *Server) evaluate(ctx context.Context, req *EvalRequest) (payload []byte
 		tw = dtbgc.NewTelemetryWriter(&telBuf)
 		probe = tw
 	}
-	opts, err := req.options(probe)
+	cfg, err := req.config(probe)
 	if err != nil {
 		return nil, false, err
 	}
 
-	var results []*dtbgc.Result
+	var results []*sim.Result
 	job := func(jctx context.Context) error {
 		if req.DeadlineMs > 0 {
 			var cancel context.CancelFunc
@@ -302,14 +303,14 @@ func (s *Server) evaluate(ctx context.Context, req *EvalRequest) (payload []byte
 				return &ErrUnknownTrace{Digest: req.TraceDigest}
 			}
 			tapeHit = true
-			results, rerr = dtbgc.ReplayAllBatches(jctx, dtbgc.SliceBatchSource(events), []dtbgc.SimOptions{opts})
+			results, rerr = engine.ReplayBatches(jctx, engine.SliceBatchSource(events), []sim.Config{cfg})
 			return rerr
 		}
 		w, lerr := dtbgc.LookupWorkload(req.Workload)
 		if lerr != nil {
 			return lerr
 		}
-		results, rerr = dtbgc.ReplayAll(jctx, dtbgc.EventSource(w.Scale(req.Scale).GenerateTo), []dtbgc.SimOptions{opts})
+		results, rerr = engine.Replay(jctx, engine.Source(w.Scale(req.Scale).GenerateTo), []sim.Config{cfg})
 		return rerr
 	}
 	if err := engine.RunJobs(ctx, 1, []engine.Job{job}); err != nil {

@@ -67,11 +67,6 @@ func EventReaderSource(rd EventReader) Source {
 	}
 }
 
-// ReaderSource adapts the strict trace decoder to a Source.
-func ReaderSource(rd *trace.Reader) Source {
-	return EventReaderSource(rd)
-}
-
 // replayBatchEvents is the batch granularity of the replay hot path:
 // the number of events decoded, delivered to the fleet, and covered by
 // one cancellation check. Large enough to amortize the per-batch costs
@@ -82,10 +77,6 @@ func ReaderSource(rd *trace.Reader) Source {
 // sim.Fleet.FeedBatch), so the batch size does not set the apply
 // working set.
 const replayBatchEvents = 4096
-
-// cancelCheckEvery preserves the pre-batching name for the
-// cancellation granularity: ctx is checked once per batch.
-const cancelCheckEvery = replayBatchEvents
 
 // BatchSource streams one trace as event batches in trace order: it
 // calls emit for each batch and stops at the first emit error, which

@@ -108,7 +108,7 @@ func TestReaderSource(t *testing.T) {
 	if err != nil {
 		t.Fatalf("slice replay: %v", err)
 	}
-	fromReader, err := Replay(context.Background(), ReaderSource(trace.NewReader(&buf)), cfgs)
+	fromReader, err := Replay(context.Background(), EventReaderSource(trace.NewReader(&buf)), cfgs)
 	if err != nil {
 		t.Fatalf("reader replay: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestReaderSource(t *testing.T) {
 func TestReplayCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	const total = 10 * cancelCheckEvery
+	const total = 10 * replayBatchEvents
 	emitted := 0
 	src := func(emit func(trace.Event) error) error {
 		for i := 0; i < total; i++ {
@@ -144,9 +144,9 @@ func TestReplayCancellation(t *testing.T) {
 	if results != nil {
 		t.Error("cancelled replay returned results")
 	}
-	// The check runs every cancelCheckEvery events, so the replay must
+	// The check runs every replayBatchEvents events, so the replay must
 	// stop within one stride of the cancellation point.
-	if emitted > 100+cancelCheckEvery {
+	if emitted > 100+replayBatchEvents {
 		t.Errorf("replay consumed %d events after cancellation, want prompt stop", emitted-100)
 	}
 }

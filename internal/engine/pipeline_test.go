@@ -211,9 +211,9 @@ func TestReaderPipelineJoinsOnEveryExit(t *testing.T) {
 // TestReplayCancellation). The skipped prefix counts as source work,
 // so the bound is measured from the cancellation point.
 func TestResumeCancellationStride(t *testing.T) {
-	const total = 12 * cancelCheckEvery
+	const total = 12 * replayBatchEvents
 	events := allocStream(total)
-	breakAt := 2*cancelCheckEvery + 300
+	breakAt := 2*replayBatchEvents + 300
 	_, cp, err := ReplayResumable(context.Background(), failAfter(events, breakAt, errInjected{}), testMatrix())
 	if cp == nil {
 		t.Fatalf("interrupted replay gave no checkpoint (err %v)", err)
@@ -242,8 +242,8 @@ func TestResumeCancellationStride(t *testing.T) {
 	if results != nil {
 		t.Fatal("cancelled resume returned results")
 	}
-	if emitted > cancelAt+cancelCheckEvery {
-		t.Errorf("resume consumed %d events after cancellation, want at most one %d-event stride", emitted-cancelAt, cancelCheckEvery)
+	if emitted > cancelAt+replayBatchEvents {
+		t.Errorf("resume consumed %d events after cancellation, want at most one %d-event stride", emitted-cancelAt, replayBatchEvents)
 	}
 }
 

@@ -82,27 +82,6 @@ func TestFleetMatchesSoloRuns(t *testing.T) {
 	}
 }
 
-// TestRunnerFeedBatchMatchesFeed pins the solo batch entry point to
-// the per-event one.
-func TestRunnerFeedBatchMatchesFeed(t *testing.T) {
-	events := markedChurnTrace(2000)
-	cfg := tinyConfig(core.DtbFM{TraceMax: 5 * kb})
-	want := mustRun(t, events, cfg)
-
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lo := 0; lo < len(events); lo += 100 {
-		if err := r.FeedBatch(events[lo:min(lo+100, len(events))]); err != nil {
-			t.Fatalf("FeedBatch: %v", err)
-		}
-	}
-	if got := r.Finish(); !reflect.DeepEqual(got, want) {
-		t.Errorf("FeedBatch result differs from Feed result\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
 // TestFleetErrorLeavesConsistentPrefix: a validation error mid-batch
 // must leave every runner having applied exactly the events before the
 // offending one, and report the same error a solo Feed would.
@@ -145,8 +124,8 @@ func TestFleetErrorLeavesConsistentPrefix(t *testing.T) {
 }
 
 // TestFleetRunnerRejectsDirectFeed: a fleet-owned runner must refuse
-// Runner.Feed/FeedBatch — a direct feed would advance the shared tape
-// ahead of the sibling runners.
+// Runner.Feed — a direct feed would advance the shared tape ahead of
+// the sibling runners.
 func TestFleetRunnerRejectsDirectFeed(t *testing.T) {
 	fleet, err := NewFleet([]Config{{Mode: ModeNoGC}})
 	if err != nil {
@@ -155,9 +134,6 @@ func TestFleetRunnerRejectsDirectFeed(t *testing.T) {
 	r := fleet.Runners()[0]
 	if err := r.Feed(trace.Alloc(1, 8, 0)); err == nil {
 		t.Fatal("direct Feed on a fleet runner accepted")
-	}
-	if err := r.FeedBatch([]trace.Event{trace.Alloc(1, 8, 0)}); err == nil {
-		t.Fatal("direct FeedBatch on a fleet runner accepted")
 	}
 	if n := fleet.Events(); n != 0 {
 		t.Fatalf("rejected feeds advanced the tape to %d", n)

@@ -248,7 +248,8 @@ func (tp *tape) stats() TapeStats {
 	}
 }
 
-// TapeStats reports the footprint of this runner's private tape.
+// TapeStats reports the footprint of the tape this runner reads: its
+// fleet's, shared with any sibling runners.
 func (r *Runner) TapeStats() TapeStats { return r.tape.stats() }
 
 // TapeStats reports the footprint of the fleet's shared tape.

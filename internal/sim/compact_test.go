@@ -220,7 +220,7 @@ func compactedRunner(t *testing.T) *Runner {
 		t.Fatal(err)
 	}
 	aggressive(r.tape)
-	if err := r.FeedBatch(churnTrace(500, 20*kb, 5, 0)); err != nil {
+	if err := r.solo.FeedBatch(churnTrace(500, 20*kb, 5, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.TapeStats(); st.RetiredObjects == 0 {
@@ -313,7 +313,7 @@ func TestVmemPtrWriteRetiredEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	aggressive(r.tape)
-	if err := r.FeedBatch(events); err != nil {
+	if err := r.solo.FeedBatch(events); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.TapeStats(); st.RetiredObjects == 0 {
@@ -342,7 +342,7 @@ func TestTapeOrdinalLimit(t *testing.T) {
 	}
 	// The rejected 5th alloc breaks the ID sequence: the failed resolve
 	// must not move the index off its arithmetic arm either.
-	ferr := r.FeedBatch(append(b.Events(), trace.Alloc(100, 64, 50)))
+	ferr := r.solo.FeedBatch(append(b.Events(), trace.Alloc(100, 64, 50)))
 	if ferr == nil {
 		t.Fatal("5th retained object accepted past an ordinal limit of 4")
 	}
@@ -362,7 +362,7 @@ func TestTapeOrdinalLimit(t *testing.T) {
 	}
 	aggressive(r2.tape)
 	r2.tape.ordLimit = 16
-	if err := r2.FeedBatch(churnTrace(400, 20*kb, 3, 0)); err != nil {
+	if err := r2.solo.FeedBatch(churnTrace(400, 20*kb, 3, 0)); err != nil {
 		t.Fatalf("churn of 400 objects under a 16-ordinal limit: %v", err)
 	}
 	if st := r2.TapeStats(); st.RetainedObjects > 16 || st.RetiredObjects < 300 {
@@ -457,7 +457,7 @@ func TestResolveSteadyStateAllocs(t *testing.T) {
 	tp.minTrimBuckets = 1
 	events := churnTrace(6000, 20*kb, 9, 0)
 	warm, rest := events[:2000], events[2000:]
-	if err := r.FeedBatch(warm); err != nil {
+	if err := r.solo.FeedBatch(warm); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.TapeStats(); st.RetiredObjects == 0 {
@@ -469,7 +469,7 @@ func TestResolveSteadyStateAllocs(t *testing.T) {
 		if next+seg > len(rest) {
 			t.Fatal("steady-state segments exhausted")
 		}
-		if err := r.FeedBatch(rest[next : next+seg]); err != nil {
+		if err := r.solo.FeedBatch(rest[next : next+seg]); err != nil {
 			t.Fatal(err)
 		}
 		next += seg

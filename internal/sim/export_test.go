@@ -15,6 +15,12 @@ func SetCompactionCadence(f *Fleet, every int) {
 	f.tape.checkEvery = every
 }
 
+// SoloRuns reports how many events the fleet behind a NewRunner runner
+// resolves ahead at most, and whether it applies them event by event.
+func SoloRuns(r *Runner) (resolveAhead int, perEvent bool) {
+	return len(r.solo.buf), r.solo.perEvent
+}
+
 // TapeIndexMapped reports whether f's tape resolves trace IDs through
 // its map rather than by arithmetic (see tape.lookup).
 func TapeIndexMapped(f *Fleet) bool { return f.tape.index != nil }

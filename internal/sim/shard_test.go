@@ -133,12 +133,13 @@ func TestShardCountsWithCompaction(t *testing.T) {
 		for _, batch := range []int{100, 4096} {
 			fleet, lockstep := newFleet(), newFleet()
 			tuneRuns(fleet, summary)
+			lockstep.lockstep()
 			for lo := 0; lo < len(events); lo += batch {
 				hi := min(lo+batch, len(events))
 				if err := fleet.FeedBatch(events[lo:hi]); err != nil {
 					t.Fatal(err)
 				}
-				if err := lockstep.tape.feedLockstep(lockstep.runners, events[lo:hi]); err != nil {
+				if err := lockstep.FeedBatch(events[lo:hi]); err != nil {
 					t.Fatal(err)
 				}
 				if got, want := fleet.SnapshotTapeCompaction(), lockstep.SnapshotTapeCompaction(); !reflect.DeepEqual(got, want) {

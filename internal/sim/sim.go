@@ -9,13 +9,14 @@
 // number of bytes per second, so pause times are proportional to bytes
 // traced and CPU overhead is total trace time over program run time.
 //
-// Run simulates an in-memory trace; RunReader streams events from a
-// decoder so arbitrarily long traces simulate in constant memory;
-// NewRunner exposes the incremental interface both are built on; and
-// NewFleet shares the collector-independent trace bookkeeping (the
-// "tape") across many runners so a fan-out replay pays for decoding,
-// validation and liveness accounting once instead of once per
-// collector.
+// NewFleet owns the collector-independent trace bookkeeping (the
+// "tape") and shares it across many runners, so a fan-out replay pays
+// for validation and liveness accounting once instead of once per
+// collector. A fleet is the only owner of a tape: NewRunner builds a
+// fleet of one, fed in lockstep, which is the per-event reference the
+// oracle diffs fan-out replays against. Run simulates an in-memory
+// trace on such a runner, and RunReader streams events from a decoder
+// so arbitrarily long traces simulate in constant memory.
 package sim
 
 import (
@@ -289,9 +290,9 @@ type resolved struct {
 // fact that is identical no matter which policy is running — object
 // identity, sizes, birth times, the program's free oracle, the
 // allocation clock, event validation, and the live-byte accounting
-// behind boundary queries. A Fleet shares one tape across all of its
-// runners so this work happens once per trace instead of once per
-// collector; a solo Runner owns a private tape.
+// behind boundary queries. A Fleet owns one tape and shares it across
+// all of its runners, so this work happens once per trace instead of
+// once per collector; a solo Runner reads the tape of its fleet of one.
 //
 // Objects are numbered by dense ordinals in allocation order,
 // relative to a sliding base: epoch-based compaction (see compact.go)
@@ -604,22 +605,20 @@ func (h policyHeap) LiveBytesBornAfter(t core.Time) uint64 {
 	return h.r.tape.liveBytesBornAfter(t)
 }
 
-// Runner is the incremental simulation interface: feed events in trace
-// order, then Finish. Run and RunReader are thin wrappers around it;
-// Fleet drives many runners off one shared tape.
+// Runner is one collector's simulation: feed events in trace order,
+// then Finish. A Fleet feeds its runners off one shared tape; a runner
+// from NewRunner is the only runner of a fleet of its own and takes
+// events through Feed. Run and RunReader are thin wrappers around it.
 type Runner struct {
 	cfg  Config
 	res  *Result
 	tape *tape
 	view core.Heap // policyHeap, boxed once at construction
-	// fleet marks a runner constructed by NewFleet: its tape is shared,
-	// so events must arrive through Fleet.FeedBatch (a direct Feed
-	// would advance the tape ahead of the sibling runners).
-	fleet bool
-	// tapeRunners is the runner set compaction must consult before
-	// retiring tape prefixes: just this runner for a solo tape (set by
-	// NewRunner), nil for fleet runners (the fleet drives compaction).
-	tapeRunners []*Runner
+	// solo is the lockstep fleet of one NewRunner built around this
+	// runner, which Feed feeds. It is nil for the runners of NewFleet,
+	// whose events arrive through Fleet.FeedBatch: a direct Feed would
+	// advance the shared tape ahead of the sibling runners.
+	solo *Fleet
 
 	// Per-collector heap state. objs holds the ordinals of objects
 	// present in this runner's heap (live or dead-but-unreclaimed), in
@@ -672,22 +671,26 @@ type Runner struct {
 	present  []bool
 }
 
-// NewRunner validates the configuration and returns a Runner with a
-// private tape, ready for events. The probe's RunStart fires only
-// after validation succeeds, so a rejected config never opens a
-// telemetry stream it cannot close.
+// NewRunner validates the configuration and returns a Runner ready for
+// events: the only runner of a fleet of its own, which resolves each
+// event and applies it before resolving the next. The probe's RunStart
+// fires only after validation succeeds, so a rejected config never
+// opens a telemetry stream it cannot close.
 func NewRunner(cfg Config) (*Runner, error) {
-	tp := newTape()
-	r, err := newRunner(tp, cfg, false)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	f, err := NewFleet([]Config{cfg})
 	if err != nil {
 		return nil, err
 	}
-	r.tapeRunners = []*Runner{r}
-	tp.configure(r.tapeRunners)
+	f.lockstep()
+	r := f.runners[0]
+	r.solo = f
 	return r, nil
 }
 
-func newRunner(tp *tape, cfg Config, fleet bool) (*Runner, error) {
+func newRunner(tp *tape, cfg Config) (*Runner, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -701,7 +704,7 @@ func newRunner(tp *tape, cfg Config, fleet bool) (*Runner, error) {
 	case ModeLive:
 		res.Collector = "Live"
 	}
-	r := &Runner{cfg: cfg, res: res, tape: tp, fleet: fleet}
+	r := &Runner{cfg: cfg, res: res, tape: tp}
 	r.view = policyHeap{r}
 	r.isPolicy = cfg.Mode == ModePolicy
 	if r.isPolicy {
@@ -804,56 +807,17 @@ var (
 	errFleetFeed       = errors.New("sim: Feed on a fleet runner (events arrive via Fleet.FeedBatch)")
 )
 
-// Feed processes one event. Events must arrive in trace order.
+// Feed processes one event. Events must arrive in trace order. Only a
+// runner from NewRunner takes events directly.
 func (r *Runner) Feed(e trace.Event) error {
 	if r.finished {
 		return errFeedAfterFinish
 	}
-	if r.fleet {
+	if r.solo == nil {
 		return errFleetFeed
 	}
 	one := [1]trace.Event{e}
-	return r.tape.feedLockstep(r.tapeRunners, one[:])
-}
-
-// FeedBatch processes a batch of events in trace order: the same
-// observable behavior as calling Feed once per event, with the
-// finished/ownership checks hoisted out of the per-event path. On
-// error, events before the offending one have been applied.
-func (r *Runner) FeedBatch(events []trace.Event) error {
-	if r.finished {
-		return errFeedAfterFinish
-	}
-	if r.fleet {
-		return errFleetFeed
-	}
-	return r.tape.feedLockstep(r.tapeRunners, events)
-}
-
-// feedLockstep resolves each event and applies it to every runner
-// before resolving the next, the per-event reference order. Solo
-// runners feed this way, which keeps the audit oracle's reference leg
-// independent of the fleet's run loop. On error, every runner has
-// applied exactly the events before the offending one.
-//
-//dtbvet:hotpath the solo feed loop
-func (tp *tape) feedLockstep(runners []*Runner, events []trace.Event) error {
-	var one [1]resolved
-	for i := range events {
-		if err := tp.resolve(events[i], &one[0]); err != nil {
-			return err
-		}
-		for _, r := range runners {
-			r.apply(one[:])
-		}
-		// The cadence gate keys on the event count alone, so compaction
-		// points — and the checkpoint watermark — are independent of
-		// how callers batch the stream.
-		if tp.compact && tp.events-tp.lastCompactCheck >= tp.checkEvery {
-			tp.maybeCompact(runners)
-		}
-	}
-	return nil
+	return r.solo.FeedBatch(one[:])
 }
 
 // apply runs resolved events through this runner's collector, one at
@@ -1094,7 +1058,8 @@ func (r *Runner) Finish() *Result {
 // cost is paid once per trace instead of once per collector, and most
 // runners take each run of events between horizons from one summary
 // of it (see FeedBatch). Every runner's Result, History and telemetry
-// sequence is bit-identical to a solo run over the same events.
+// sequence is bit-identical to a solo run over the same events, which
+// is itself a fleet of one in lockstep (see NewRunner).
 type Fleet struct {
 	tape     *tape
 	runners  []*Runner
@@ -1103,8 +1068,9 @@ type Fleet struct {
 	// buf holds the events resolved ahead of the next horizon.
 	// sampleInstr is the instruction of the last alloc or free applied,
 	// where the next run's first memory-statistic interval starts.
-	// perEvent makes every runner apply every run event by event; it
-	// and buf's length are set only by tests (see tuneRuns).
+	// perEvent makes every runner apply every run event by event. Both
+	// are set by lockstep, for solo runners, and by tests (see
+	// tuneRuns).
 	buf         []resolved
 	sampleInstr uint64
 	perEvent    bool
@@ -1129,7 +1095,7 @@ func NewFleet(cfgs []Config) (*Fleet, error) {
 	f := &Fleet{tape: tp, runners: make([]*Runner, 0, len(cfgs)), buf: make([]resolved, fleetRunEvents)}
 	seen := make(map[core.PolicyInstance]int)
 	for i, cfg := range cfgs {
-		r, err := newRunner(tp, cfg, true)
+		r, err := newRunner(tp, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -1151,6 +1117,16 @@ func NewFleet(cfgs []Config) (*Fleet, error) {
 	return f, nil
 }
 
+// lockstep makes f resolve one event at a time and apply it to every
+// runner before resolving the next: the order solo runs replay in,
+// whatever batches the caller feeds. Nothing is resolved ahead and no
+// run is applied from its summary, so the oracle's reference leg
+// shares neither mechanism with the fan-out it checks.
+func (f *Fleet) lockstep() {
+	f.buf = make([]resolved, 1)
+	f.perEvent = true
+}
+
 // tuneRuns makes f resolve ahead at most 16 events, so runs cut by a
 // full buffer come between nearly every pair of horizons, and, unless
 // summary is set, apply every run to every runner event by event: the
@@ -1168,7 +1144,7 @@ var testRuns struct{ on, summary bool }
 // its runs at 16 events and, unless summary is set, apply them event
 // by event. It is a test hook for packages that replay through the
 // engine and never hold the fleet; it must not run concurrently with
-// NewFleet.
+// NewFleet. The lockstep fleets of solo runners are left in lockstep.
 func TuneRunsForTest(summary bool) (restore func()) {
 	prev := testRuns
 	testRuns.on, testRuns.summary = true, summary
@@ -1393,16 +1369,23 @@ func (f *Fleet) summarize(run []resolved) runSummary {
 // no Progress event to every runner: from the run's summary where the
 // runner takes it, else event by event. Runners read nothing shared
 // during a run, so the order among them is unobservable; config order
-// keeps it fixed all the same.
+// keeps it fixed all the same. A fleet that applies every run event by
+// event never reads a summary, so it skips computing one.
 //
 //dtbvet:hotpath one call per run between horizons
 func (f *Fleet) applyRun(run []resolved) {
 	if len(run) == 0 {
 		return
 	}
+	if f.perEvent {
+		for _, r := range f.runners {
+			r.apply(run)
+		}
+		return
+	}
 	s := f.summarize(run)
 	for _, r := range f.runners {
-		if f.perEvent || !r.summarizes || !r.applySummary(&s) {
+		if !r.summarizes || !r.applySummary(&s) {
 			r.apply(run)
 		}
 	}
@@ -1463,41 +1446,50 @@ func (f *Fleet) Finish() []*Result {
 	return results
 }
 
-// Run simulates one collector over a complete in-memory trace, feeding
-// one event at a time — the per-event reference path the batched fleet
-// is diffed against. The trace must be well-formed; Run reports the
-// first inconsistency it hits as an error.
+// Run simulates one collector over a complete in-memory trace on a
+// solo runner, which applies one event at a time — the per-event
+// reference path the resolving-ahead fleet is diffed against. The
+// trace must be well-formed; Run reports the first inconsistency it
+// hits as an error.
 func Run(events []trace.Event, cfg Config) (*Result, error) {
 	r, err := NewRunner(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range events {
-		if err := r.Feed(e); err != nil {
-			return nil, err
-		}
+	if err := r.solo.FeedBatch(events); err != nil {
+		return nil, err
 	}
 	return r.Finish(), nil
 }
 
-// RunReader simulates a collector over a streamed trace, decoding
-// events one at a time: memory use is bounded by the heap model and
-// the tape's per-object bookkeeping, not the trace length.
+// RunReader simulates a collector over a streamed trace on a solo
+// runner, decoding events one at a time and feeding them in chunks:
+// memory use is bounded by the heap model and the tape's per-object
+// bookkeeping, not the trace length. The events decoded before a
+// decode error are fed first, so a trace defect among them is the
+// error reported.
 func RunReader(rd *trace.Reader, cfg Config) (*Result, error) {
 	r, err := NewRunner(cfg)
 	if err != nil {
 		return nil, err
 	}
+	chunk := make([]trace.Event, 0, fleetRunEvents)
 	for {
-		e, err := rd.Read()
-		if err == io.EOF {
+		e, rerr := rd.Read()
+		if rerr == nil {
+			if chunk = append(chunk, e); len(chunk) < cap(chunk) {
+				continue
+			}
+		}
+		if err := r.solo.FeedBatch(chunk); err != nil {
+			return nil, err
+		}
+		chunk = chunk[:0]
+		if rerr == io.EOF {
 			return r.Finish(), nil
 		}
-		if err != nil {
-			return nil, err
-		}
-		if err := r.Feed(e); err != nil {
-			return nil, err
+		if rerr != nil {
+			return nil, rerr
 		}
 	}
 }

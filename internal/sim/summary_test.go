@@ -115,6 +115,28 @@ func TestRunSummaryMatchesReferenceAcrossExactWindow(t *testing.T) {
 	}
 }
 
+// TestSoloRunnerFeedsInLockstep: a solo runner is the reference leg
+// that resolving ahead and summary apply are diffed against, so its
+// fleet of one must resolve one event at a time and apply it event by
+// event, also while TuneRunsForTest tunes every other fleet. No result
+// can tell lockstep from the fast path; only this test can.
+func TestSoloRunnerFeedsInLockstep(t *testing.T) {
+	for _, tuned := range []bool{false, true} {
+		restore := func() {}
+		if tuned {
+			restore = sim.TuneRunsForTest(true)
+		}
+		r, err := sim.NewRunner(sim.Config{Policy: core.Full{}})
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ahead, perEvent := sim.SoloRuns(r); ahead != 1 || !perEvent {
+			t.Errorf("tuned %v: solo runner resolves ahead %d events, per-event apply %v; want 1, true", tuned, ahead, perEvent)
+		}
+	}
+}
+
 // fleetBatches replays events through one fleet at its production
 // settings, with a telemetry stream per config, in batches of batch
 // events.
