@@ -353,7 +353,15 @@ func ReadTraceText(r io.Reader) ([]Event, error) { return trace.ReadText(r) }
 
 // ValidateTrace checks a trace for well-formedness (unique IDs, no
 // double frees, monotone clock, pointer stores between live objects).
-func ValidateTrace(events []Event) error { return trace.Validate(events) }
+// It ends with the simulator's own event checks, so every trace defect
+// a replay would report, such as an ID reused after its free, is
+// reported here first, with the same text.
+func ValidateTrace(events []Event) error {
+	if err := trace.Validate(events); err != nil {
+		return err
+	}
+	return sim.Check(events)
+}
 
 // WindowTrace extracts the self-contained sub-trace covering the
 // instruction interval [from, to]: objects still live at the window's

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/dtbgc/dtbgc/internal/trace"
 )
 
 func TestPolicyConstructors(t *testing.T) {
@@ -162,6 +164,18 @@ func TestTraceRoundTripFacade(t *testing.T) {
 	}
 	if err := ValidateTrace(events); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValidateTraceRejectsIDReuse: an ID reused after its object's
+// free passes trace.Validate's liveness checks, but IDs are unique for
+// the whole trace, and every replay rejects it as a duplicate
+// allocation — so ValidateTrace does too, with the replay's error.
+func TestValidateTraceRejectsIDReuse(t *testing.T) {
+	events := []Event{trace.Alloc(1, 32, 10), trace.Free(1, 20), trace.Alloc(1, 32, 30)}
+	err := ValidateTrace(events)
+	if want := "sim: event 2: duplicate allocation of object 1"; err == nil || err.Error() != want {
+		t.Fatalf("ValidateTrace = %v, want %q", err, want)
 	}
 }
 

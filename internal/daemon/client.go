@@ -85,7 +85,8 @@ func (c *Client) Eval(ctx context.Context, req *EvalRequest) (*EvalResponse, err
 }
 
 // UploadTrace streams a binary trace to the daemon and returns the
-// daemon's digest and event count for it.
+// daemon's digest and event count for it. A trace the simulator would
+// reject fails with a *StatusError of status 422 carrying its error.
 func (c *Client) UploadTrace(ctx context.Context, r io.Reader) (*TraceInfo, error) {
 	var info TraceInfo
 	if err := c.do(ctx, http.MethodPost, "/v1/traces", "application/octet-stream", r, &info, ""); err != nil {

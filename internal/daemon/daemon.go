@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/dtbgc/dtbgc/internal/sim"
 	"github.com/dtbgc/dtbgc/internal/trace"
 )
 
@@ -266,6 +267,12 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	events, err := trace.NewReader(dr).ReadAll()
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding trace: %w", err))
+		return
+	}
+	// A trace the simulator rejects would fail every eval on it, so it
+	// is refused here, before it is cached or counted.
+	if err := sim.Check(events); err != nil {
+		s.writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	// The stream decoded to a clean EOF, so the digest covers the

@@ -194,6 +194,41 @@ func TestEvalTraceBitIdentity(t *testing.T) {
 	}
 }
 
+// TestUploadRejectsTraceDefects: a trace that decodes but that the
+// simulator rejects (here a double free) is refused at upload with 422
+// and the simulator's own error text. It is neither cached nor counted,
+// so an eval by its digest is an unknown trace (404), never a replay
+// that fails with 500.
+func TestUploadRejectsTraceDefects(t *testing.T) {
+	s, c := newTestDaemon(t, Config{Workers: 1})
+	events := []trace.Event{trace.Alloc(1, 32, 10), trace.Free(1, 20), trace.Free(1, 30)}
+	var enc bytes.Buffer
+	if err := dtbgc.WriteTrace(&enc, events); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	_, err := c.UploadTrace(context.Background(), &enc)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("upload error = %v, want HTTP 422", err)
+	}
+	if want := "sim: event 2: double free of object 1"; se.Message != want {
+		t.Fatalf("upload error text %q, want %q", se.Message, want)
+	}
+	if m := s.Metrics(); m.TraceUploads != 0 || m.TapeCacheTraces != 0 {
+		t.Fatalf("rejected upload was counted or cached: %+v", m)
+	}
+
+	d, err := trace.DigestEvents(events)
+	if err != nil {
+		t.Fatalf("DigestEvents: %v", err)
+	}
+	_, err = c.Eval(context.Background(), &EvalRequest{TraceDigest: d.String(), Policy: "full"})
+	var ut *UnknownTraceError
+	if !errors.As(err, &ut) {
+		t.Fatalf("eval of a rejected trace: error = %v, want *UnknownTraceError (404)", err)
+	}
+}
+
 func mustConfig(t *testing.T, req EvalRequest) sim.Config {
 	t.Helper()
 	if err := req.normalize(); err != nil {

@@ -25,6 +25,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/dtbgc/dtbgc/internal/trace"
@@ -59,32 +60,77 @@ func tapeCompactionAllowed(runners []*Runner) bool {
 	return true
 }
 
-// retainedFloor returns the lowest ordinal this runner can still
-// address; every ordinal below it is out of the runner's reach and
-// may retire. objs is birth-ordered, so for a policy runner the floor
-// is its oldest unreclaimed object — dead-but-unreclaimed objects
-// still get read by the next scavenge, so they pin the prefix until a
-// collection sweeps them.
-func (r *Runner) retainedFloor() int {
-	if r.isPolicy {
-		if len(r.objs) > 0 {
-			return int(r.objs[0])
+// retainedFloor returns the lowest ordinal some runner can still
+// address; every ordinal below it is out of every runner's reach and
+// may retire. Dead-but-unreclaimed objects still get read by a later
+// scavenge, so they pin the prefix until a collection reclaims them.
+// A sweeping runner's floor is its oldest object, objs[0]. A log
+// runner's is the smaller of its tenured minimum and the smallest
+// ordinal in the death log past its cursor; the second term, minimized
+// over runners, is the smallest ordinal past the slowest cursor, so
+// one scan of the log covers every log runner. NoGC and Live track no
+// per-ordinal state (tapeCompactionAllowed excludes the vmem
+// variants), so nothing of theirs pins the prefix. Live objects count
+// for nothing here: the caller already stops at the first live birth
+// bucket.
+func (tp *tape) retainedFloor(runners []*Runner) int {
+	floor := len(tp.sizes)
+	for _, r := range runners {
+		switch {
+		case r.sweeps && len(r.objs) > 0:
+			floor = min(floor, int(r.objs[0]))
+		case r.logs():
+			floor = min(floor, int(r.tenured.floor()))
 		}
-		return len(r.tape.sizes)
 	}
-	// NoGC and Live track no per-ordinal state (tapeCompactionAllowed
-	// excludes the vmem variants), so nothing pins the prefix.
-	return len(r.tape.sizes)
+	for _, d := range tp.deaths[tp.slowestCursor(runners)-tp.deathBase:] {
+		floor = min(floor, int(d.ord))
+	}
+	return floor
 }
 
-// rebase shifts this runner's per-ordinal state down by k retired
-// ordinals. Every retained ordinal is >= k (retire respects
-// retainedFloor), so the subtraction cannot underflow.
+// slowestCursor is the death-log position every log runner has
+// consumed the log up to.
+func (tp *tape) slowestCursor(runners []*Runner) uint64 {
+	cursor := tp.deathBase + uint64(len(tp.deaths))
+	for _, r := range runners {
+		if r.logs() {
+			cursor = min(cursor, r.cursor)
+		}
+	}
+	return cursor
+}
+
+// trimDeaths drops the death-log prefix every log runner has consumed:
+// always when force is set (before a retire), and otherwise once it is
+// at least half the log, so the copy-down costs O(1) per entry logged.
+// FeedBatch calls it after every horizon, where scavenges move the
+// cursors, so the log holds at most about twice the frees since the
+// slowest log runner's last scavenge.
+func (tp *tape) trimDeaths(runners []*Runner, force bool) {
+	if !tp.logDeaths {
+		return
+	}
+	cursor := tp.slowestCursor(runners)
+	n := int(cursor - tp.deathBase)
+	if n == 0 || (!force && 2*n < len(tp.deaths)) {
+		return
+	}
+	tp.deaths = tp.deaths[:copy(tp.deaths, tp.deaths[n:])]
+	tp.deathBase = cursor
+}
+
+// rebase shifts this runner's per-ordinal state — its object list or
+// tenured set, and its vmem addresses — down by k retired ordinals.
+// Every ordinal it holds is >= k (retire respects retainedFloor), so
+// the subtraction cannot underflow. Its log cursor counts entries, not
+// ordinals, and does not move.
 func (r *Runner) rebase(k int) {
 	d := int32(k)
 	for i := range r.objs {
 		r.objs[i] -= d
 	}
+	r.tenured.rebase(d)
 	if r.pages != nil {
 		r.addrs = r.addrs[:copy(r.addrs, r.addrs[k:])]
 		r.present = r.present[:copy(r.present, r.present[k:])]
@@ -111,11 +157,7 @@ func (tp *tape) maybeCompact(runners []*Runner) {
 	// the clock space.
 	limit := tp.bucketBase + uint64(z)
 	k := sort.Search(len(tp.births), func(i int) bool { return birthBucket(tp.births[i]) >= limit })
-	for _, r := range runners {
-		if f := r.retainedFloor(); f < k {
-			k = f
-		}
-	}
+	k = min(k, tp.retainedFloor(runners))
 	if k >= tp.minRetire && 4*k >= len(tp.sizes) {
 		tp.retire(k, runners)
 	}
@@ -125,31 +167,43 @@ func (tp *tape) maybeCompact(runners []*Runner) {
 // retire drops the first k ordinals from the tape: their IDs leave
 // the index into the retired span summary, the per-ordinal arrays
 // shift down in place (capacity is reused — the arrays' footprint is
-// their retained high-water mark), the index is rebased, and every
-// runner shifts its own per-ordinal state. On the index's arithmetic
-// arm the rebase is the base advancing by k; the map arm deletes the
-// retired entries and rewrites every retained one.
+// their retained high-water mark), the index is rebased, the consumed
+// death-log prefix is dropped and the rest of the log rebased, and
+// every runner shifts its own per-ordinal state. On the index's
+// arithmetic arm the retired IDs are one span (two if they wrap past
+// 2^64−1) and the rebase is the base advancing by k; the map arm
+// deletes the retired entries and rewrites every retained one.
 func (tp *tape) retire(k int, runners []*Runner) {
-	for _, id := range tp.ids[:k] {
-		tp.retired.add(id)
-	}
+	d := int32(k)
 	if tp.index == nil {
+		lo, hi := tp.idBase, tp.idBase+trace.ObjectID(k-1)
+		if hi < lo {
+			tp.retired.addRange(lo, math.MaxUint64)
+			lo = 0
+		}
+		tp.retired.addRange(lo, hi)
 		tp.idBase += trace.ObjectID(k)
 	} else {
 		for _, id := range tp.ids[:k] {
+			tp.retired.add(id)
 			delete(tp.index, id)
 		}
-		d := int32(k)
 		//dtbvet:ignore determinism -- order-insensitive rebase: every value is adjusted independently, no fold over map order
 		for id, ord := range tp.index {
 			tp.index[id] = ord - d
 		}
+		tp.ids = tp.ids[:copy(tp.ids, tp.ids[k:])]
 	}
-	tp.ids = tp.ids[:copy(tp.ids, tp.ids[k:])]
 	tp.sizes = tp.sizes[:copy(tp.sizes, tp.sizes[k:])]
 	tp.births = tp.births[:copy(tp.births, tp.births[k:])]
 	tp.dead = tp.dead[:copy(tp.dead, tp.dead[k:])]
 	tp.retiredOrds += uint64(k)
+	// Entries before the slowest cursor may name retired ordinals; every
+	// later one is at or above the retained floor, so at least k.
+	tp.trimDeaths(runners, true)
+	for i := range tp.deaths {
+		tp.deaths[i].ord -= d
+	}
 	for _, r := range runners {
 		r.rebase(k)
 	}
@@ -194,31 +248,35 @@ func (s idSpans) contains(id trace.ObjectID) bool {
 	return i < len(s) && s[i].Lo <= id
 }
 
-// add inserts id, merging with an adjacent span where possible. IDs
-// arrive from retired ordinal prefixes, so in the common monotone
-// trace every add extends the last span in place.
-func (s *idSpans) add(id trace.ObjectID) {
+func (s *idSpans) add(id trace.ObjectID) { s.addRange(id, id) }
+
+// addRange inserts the IDs lo through hi (lo <= hi), merging with
+// adjacent spans where possible. IDs arrive from retired ordinal
+// prefixes, so in the common monotone trace every insert extends the
+// last span in place.
+func (s *idSpans) addRange(lo, hi trace.ObjectID) {
 	sp := *s
-	i := sort.Search(len(sp), func(i int) bool { return sp[i].Hi >= id })
-	if i < len(sp) && sp[i].Lo <= id {
-		return // already present (unreachable from retire: IDs are unique)
+	i := sort.Search(len(sp), func(i int) bool { return sp[i].Hi >= lo })
+	if i < len(sp) && sp[i].Lo <= hi {
+		return // overlaps (unreachable from retire: IDs are unique)
 	}
-	// Adjacency tests cannot wrap: a span below id has Hi < id so
-	// Hi+1 cannot overflow, and a span above id has Lo > id >= 0.
-	joinsNext := i < len(sp) && sp[i].Lo == id+1
-	joinsPrev := i > 0 && sp[i-1].Hi+1 == id
+	// Adjacency tests cannot wrap: a span below lo has Hi < lo so
+	// Hi+1 cannot overflow, and a span above hi has Lo > hi so hi+1
+	// cannot either.
+	joinsNext := i < len(sp) && sp[i].Lo == hi+1
+	joinsPrev := i > 0 && sp[i-1].Hi+1 == lo
 	switch {
 	case joinsPrev && joinsNext:
 		sp[i-1].Hi = sp[i].Hi
 		*s = append(sp[:i], sp[i+1:]...)
 	case joinsPrev:
-		sp[i-1].Hi = id
+		sp[i-1].Hi = hi
 	case joinsNext:
-		sp[i].Lo = id
+		sp[i].Lo = lo
 	default:
 		sp = append(sp, IDSpan{})
 		copy(sp[i+1:], sp[i:])
-		sp[i] = IDSpan{Lo: id, Hi: id}
+		sp[i] = IDSpan{Lo: lo, Hi: hi}
 		*s = sp
 	}
 }
@@ -234,6 +292,7 @@ type TapeStats struct {
 	Buckets         int    // birth-epoch buckets currently held
 	TrimmedBuckets  uint64 // buckets trimmed off the prefix so far
 	LiveBytes       uint64 // oracle live bytes
+	DeathLog        int    // death-log entries currently held
 }
 
 func (tp *tape) stats() TapeStats {
@@ -245,6 +304,7 @@ func (tp *tape) stats() TapeStats {
 		Buckets:         len(tp.liveByBirth),
 		TrimmedBuckets:  tp.trimmedBuckets,
 		LiveBytes:       tp.live,
+		DeathLog:        len(tp.deaths),
 	}
 }
 

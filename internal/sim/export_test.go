@@ -28,3 +28,7 @@ func TapeIndexMapped(f *Fleet) bool { return f.tape.index != nil }
 // CompactingChurnTrace is compactingChurnTrace: n objects of pure
 // churn, built by trace.Builder, with marks and pointer writes.
 var CompactingChurnTrace = compactingChurnTrace
+
+// ScriptedBoundary is scriptedBoundary: a policy whose boundary cycles
+// forward to now, back to 0 and part way, untenuring garbage.
+type ScriptedBoundary = scriptedBoundary

@@ -134,8 +134,8 @@ func encodeFuzzEvents(events []trace.Event) []byte {
 
 // fuzzConfigs builds the fleet's collector set from the fuzzed knobs:
 // mask picks from a pool covering pure and adaptive policies, tenuring
-// and reclaiming ones, the vmem model and both baselines (no bit set
-// means all of them).
+// and reclaiming ones, a boundary that oscillates (untenuring garbage),
+// the vmem model and both baselines (no bit set means all of them).
 func fuzzConfigs(mask uint16, trigger, progress uint16, opportunistic bool) []sim.Config {
 	tb := 1 + uint64(trigger)*16
 	pool := []sim.Config{
@@ -150,6 +150,7 @@ func fuzzConfigs(mask uint16, trigger, progress uint16, opportunistic bool) []si
 		{Policy: core.Full{}, PageFrames: 4, RecordCurve: true},
 		{Mode: sim.ModeNoGC},
 		{Mode: sim.ModeLive},
+		{Policy: sim.ScriptedBoundary{}},
 	}
 	sel := mask & (1<<len(pool) - 1)
 	if sel == 0 {
@@ -345,7 +346,8 @@ func TestFuzzStreamRoundTrip(t *testing.T) {
 // solo reference leg (ReferenceScan, UncompactedTape, fed event by
 // event) exactly: every Result under audit.DiffResults, every
 // telemetry stream under audit.DiffTelemetry, and on bad input the
-// same error at the same event.
+// same error at the same event — which sim.Check, resolving with no
+// runners at all, must report too.
 func FuzzFleetVsReference(f *testing.F) {
 	for i, seed := range fuzzSeeds(f) {
 		f.Add(seed, []byte{7, 200, 33}, i%2 == 1, uint16(64), true, uint16(0), true, uint16(0))
@@ -354,6 +356,9 @@ func FuzzFleetVsReference(f *testing.F) {
 		// Only collectors that reclaim everything dead, so compaction
 		// retires prefixes: before a sequence break, or across a wrap.
 		f.Add(seed, []byte{16, 5}, i%2 == 0, uint16(64), false, uint16(0), i%2 == 1, uint16(0x0701))
+		// Tight-budget FEEDMED and DTBFM tenure most deaths; the
+		// oscillating boundary untenures them in bulk.
+		f.Add(seed, []byte{9, 31}, i%2 == 1, uint16(32), false, uint16(0), false, uint16(0x0830))
 	}
 	// Instruction gaps up to 2^34 carry the memory integrals past 2^53,
 	// where summary apply must hand runs back to per-event apply.
@@ -371,6 +376,9 @@ func FuzzFleetVsReference(f *testing.F) {
 			t.Fatalf("fleet error %q, reference error %q", got.err, want.err)
 		case got.events != want.events:
 			t.Fatalf("fleet accepted %d events, reference %d", got.events, want.events)
+		}
+		if err := sim.Check(events); (err == nil) != (want.err == nil) || err != nil && err.Error() != want.err.Error() {
+			t.Fatalf("Check error %v, reference error %v", err, want.err)
 		}
 		for i := range cfgs {
 			for _, d := range audit.DiffResults(got.res[i], want.res[i]) {

@@ -16,7 +16,9 @@
 // fleet of one, fed in lockstep, which is the per-event reference the
 // oracle diffs fan-out replays against. Run simulates an in-memory
 // trace on such a runner, and RunReader streams events from a decoder
-// so arbitrarily long traces simulate in constant memory.
+// so arbitrarily long traces simulate in constant memory. Check
+// resolves a trace with no runners at all, to find the first defect a
+// replay would report.
 package sim
 
 import (
@@ -309,20 +311,35 @@ type resolved struct {
 //
 // The id→ordinal index has two arms. While every alloc has taken the
 // ID one past the previous alloc's (modulo 2^64), a retained ID's
-// ordinal is id − idBase and index stays nil: no map is touched per
-// event, and retiring a prefix just advances idBase. Every producer
-// in the module numbers objects that way — the workload generator,
-// mheap and trace.Builder. The first alloc that breaks the sequence
-// (a windowed trace's survivors, an arbitrary upload) builds the map
-// from the retained ids once, and the tape stays on the map from
+// ordinal is id − idBase, index and ids stay nil, and no map or ID
+// array is touched per event: retiring a prefix records its IDs as one
+// span and advances idBase. Every producer in the module numbers
+// objects that way — the workload generator, mheap and trace.Builder.
+// The first alloc that breaks the sequence (a windowed trace's
+// survivors, an arbitrary upload) builds the map and the ids array
+// from the retained ordinals once, and the tape stays on the map from
 // then on; Config.ReferenceScan starts it there.
+//
+// The death log is the program's frees in trace order, one (ordinal,
+// size) entry each, which log runners reclaim from instead of sweeping
+// an object list of their own (see Runner.reclaimLogged). resolve appends
+// to it only when some runner reads it, and trimDeaths drops the
+// prefix every log runner has consumed.
 type tape struct {
 	index  map[trace.ObjectID]int32 // nil on the arithmetic arm (see lookup)
 	idBase trace.ObjectID           // arithmetic arm: the ID of ordinal 0
-	ids    []trace.ObjectID         // per ordinal: retire summarizes retired IDs from it, mapIndex keys the map by it
+	ids    []trace.ObjectID         // map arm only, per ordinal: retire summarizes retired IDs from it and drops them from the map
 	sizes  []uint64                 // per ordinal
 	births []core.Time              // per ordinal, nondecreasing
 	dead   []bool                   // per ordinal: freed by the program
+
+	// deaths[i] is the death-log entry numbered deathBase+i; runner
+	// cursors count entries from the start of the trace, so trimming
+	// the front never touches them. logDeaths is set when some runner
+	// reclaims from the log.
+	deaths    []death
+	deathBase uint64
+	logDeaths bool
 
 	live uint64 // live bytes (the oracle)
 	// liveStat is the time-weighted oracle live-byte statistic,
@@ -369,6 +386,13 @@ type tape struct {
 	events    int
 }
 
+// death is one death-log entry: the ordinal and size of an object the
+// program freed.
+type death struct {
+	ord  int32
+	size uint64
+}
+
 func newTape() *tape {
 	return &tape{
 		checkEvery:     compactCheckEvery,
@@ -380,15 +404,16 @@ func newTape() *tape {
 }
 
 // configure settles what the runners sharing the tape decide for it
-// together: whether it compacts (see tapeCompactionAllowed), and
-// whether its index starts on the map arm, which Config.ReferenceScan
-// on any runner selects.
+// together: whether it compacts (see tapeCompactionAllowed), whether
+// it logs deaths, which any log runner needs, and whether its index
+// starts on the map arm, which Config.ReferenceScan on any runner
+// selects.
 func (tp *tape) configure(runners []*Runner) {
 	tp.compact = tapeCompactionAllowed(runners)
 	for _, r := range runners {
-		if r.cfg.ReferenceScan {
+		tp.logDeaths = tp.logDeaths || r.logs()
+		if r.cfg.ReferenceScan && tp.index == nil {
 			tp.mapIndex()
-			return
 		}
 	}
 }
@@ -435,9 +460,9 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 		}
 		if tp.index != nil {
 			tp.index[e.ID] = ord
+			tp.ids = append(tp.ids, e.ID)
 		}
 		tp.clock = clock
-		tp.ids = append(tp.ids, e.ID)
 		tp.sizes = append(tp.sizes, e.Size)
 		tp.births = append(tp.births, clock)
 		tp.dead = append(tp.dead, false)
@@ -470,6 +495,9 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 		// never be part of a trimmed (all-dead) prefix: the subtraction
 		// index is always in range.
 		tp.liveByBirth[birthBucket(tp.births[ord])-tp.bucketBase] -= size
+		if tp.logDeaths {
+			tp.deaths = append(tp.deaths, death{ord: ord, size: size})
+		}
 		tp.liveStat.Observe(float64(e.Instr), float64(tp.live))
 		*out = resolved{kind: trace.KindFree, ord: ord, size: size, instr: e.Instr, clock: tp.clock, live: tp.live}
 	case trace.KindPtrWrite:
@@ -510,13 +538,25 @@ func (tp *tape) lookup(id trace.ObjectID) (int32, bool) {
 	return ord, ok
 }
 
-// mapIndex moves the index onto its map arm for good, keyed by the
-// retained IDs.
+// mapIndex moves the index onto its map arm for good. Until then every
+// retained ordinal's ID was idBase+ordinal, which is what it keys the
+// map and fills the ids array with.
 func (tp *tape) mapIndex() {
-	tp.index = make(map[trace.ObjectID]int32, len(tp.ids))
-	for ord, id := range tp.ids {
+	n := len(tp.sizes)
+	tp.index = make(map[trace.ObjectID]int32, n)
+	tp.ids = make([]trace.ObjectID, n)
+	for ord := range tp.ids {
+		id := tp.idBase + trace.ObjectID(ord)
+		tp.ids[ord] = id
 		tp.index[id] = int32(ord)
 	}
+}
+
+// bornAfter returns the first ordinal born after t: births are
+// nondecreasing, so every later ordinal is born after t too.
+func (tp *tape) bornAfter(t core.Time) int {
+	births := tp.births
+	return sort.Search(len(births), func(i int) bool { return births[i] > t })
 }
 
 // liveBytesBornAfter is the bucketed boundary query over the tape.
@@ -527,8 +567,17 @@ func (tp *tape) mapIndex() {
 //
 //dtbvet:hotpath consulted by every policy Boundary() call during replay
 func (tp *tape) liveBytesBornAfter(t core.Time) uint64 {
+	return tp.liveBytesFrom(tp.bornAfter(t), t)
+}
+
+// liveBytesFrom is liveBytesBornAfter(t) given i = tp.bornAfter(t),
+// for callers that need the ordinal too. When every retained object is
+// born after t, that is every live byte: retired objects are all dead.
+func (tp *tape) liveBytesFrom(i int, t core.Time) uint64 {
+	if i == 0 {
+		return tp.live
+	}
 	births := tp.births
-	i := sort.Search(len(births), func(i int) bool { return births[i] > t })
 	b := birthBucket(t)
 	// Births sharing t's bucket need individual comparison — the
 	// bucket sums only cover whole buckets. Later buckets hold only
@@ -620,12 +669,19 @@ type Runner struct {
 	// advance the shared tape ahead of the sibling runners.
 	solo *Fleet
 
-	// Per-collector heap state. objs holds the ordinals of objects
-	// present in this runner's heap (live or dead-but-unreclaimed), in
-	// birth order; scavenge compacts it. Sizes, births and deadness
-	// live on the tape.
-	objs  []int32
-	inUse uint64 // live + dead-but-unreclaimed bytes
+	// Per-collector heap state. Every live object is in every runner's
+	// heap, so what sets one policy runner's heap apart is the dead
+	// objects it has not reclaimed yet. A log runner (sweeps unset)
+	// holds them as the death-log entries past cursor (the frees since
+	// its last scavenge) plus tenured, the garbage earlier boundaries
+	// left behind. A sweeping runner instead keeps objs: the ordinals of
+	// every object in its heap, live or dead, in birth order, which
+	// scavenge sweeps. Sizes, births and deadness live on the tape.
+	sweeps  bool
+	objs    []int32
+	cursor  uint64
+	tenured tenuredSet
+	inUse   uint64 // live + dead-but-unreclaimed bytes
 
 	// instance is the per-run state of an adaptive policy, minted by
 	// newRunner from the config-derived seed; nil for pure policies
@@ -723,6 +779,10 @@ func newRunner(tp *tape, cfg Config) (*Runner, error) {
 		r.pages = vmem.New(cfg.PageBytes, cfg.PageFrames)
 	}
 	r.summarizes = r.curve == nil && r.pages == nil && !r.opportunistic
+	// The reference leg sweeps its own object list, so every audit diffs
+	// the death log against it; vmem relocates every survivor in birth
+	// order, which is the order objs lists them in.
+	r.sweeps = r.isPolicy && (cfg.ReferenceScan || r.pages != nil)
 	if p := cfg.Probe; p != nil {
 		p.RunStart(RunStart{
 			Label:         cfg.Label,
@@ -735,6 +795,10 @@ func newRunner(tp *tape, cfg Config) (*Runner, error) {
 	}
 	return r, nil
 }
+
+// logs reports whether r is a log runner: a policy runner that
+// reclaims from the tape's death log rather than sweeping objs.
+func (r *Runner) logs() bool { return r.isPolicy && !r.sweeps }
 
 // Collector returns the name the run's Result will carry ("Full",
 // "DtbFM", "NoGC", ...). It is available from construction, so replay
@@ -838,7 +902,7 @@ func (r *Runner) apply(batch []resolved) {
 		case trace.KindAlloc:
 			r.clock = ev.clock
 			r.inUse += ev.size
-			if r.isPolicy {
+			if r.sweeps {
 				r.objs = append(r.objs, ev.ord)
 			}
 			if r.pages != nil {
@@ -898,13 +962,14 @@ func (r *Runner) apply(batch []resolved) {
 
 // scavenge runs one collection; live is the oracle live bytes at the
 // triggering event. It is the one place apply reads the shared tape
-// (the sweep and the policy's boundary queries), so Fleet applies the
-// events that can trigger it one at a time, to every runner in config
-// order, with the tape resolved exactly up to that event.
+// (the death log or the sweep, and the policy's boundary queries), so
+// Fleet applies the events that can trigger it one at a time, to every
+// runner in config order, with the tape resolved exactly up to that
+// event.
 //
 //dtbvet:hotpath one call per simulated collection
 func (r *Runner) scavenge(reason TriggerReason, live uint64) {
-	tp, cfg, res := r.tape, r.cfg, r.res
+	cfg, res := r.cfg, r.res
 	memBefore := r.inUse
 	var tb core.Time
 	if r.instance != nil {
@@ -931,41 +996,12 @@ func (r *Runner) scavenge(reason TriggerReason, live uint64) {
 		p.Decision(d)
 	}
 	// Collect with boundary tb: every dead object born after tb is
-	// reclaimed, every live one born after tb is traced. objs is birth
-	// ordered, so the threatened region is a suffix.
-	births := tp.births
-	objs := r.objs
-	start := sort.Search(len(objs), func(i int) bool { return births[objs[i]] > tb })
+	// reclaimed, every live one born after tb is traced.
 	var traced, reclaimed uint64
-	w := start
-	for i := start; i < len(objs); i++ {
-		ord := objs[i]
-		size := tp.sizes[ord]
-		if tp.dead[ord] {
-			reclaimed += size
-			r.inUse -= size
-			if r.present != nil {
-				r.present[ord] = false
-			}
-			continue
-		}
-		traced += size
-		objs[w] = ord
-		w++
-	}
-	r.objs = objs[:w]
-	if r.pages != nil {
-		// Copying semantics: every survivor of the threatened region
-		// is read at its old address and written to a fresh one; the
-		// collector never touches garbage.
-		for i := start; i < len(r.objs); i++ {
-			ord := r.objs[i]
-			size := tp.sizes[ord]
-			r.pages.Touch(r.addrs[ord], size)
-			r.addrs[ord] = r.nextAddr
-			r.nextAddr += size
-			r.pages.Touch(r.addrs[ord], size)
-		}
+	if r.sweeps {
+		traced, reclaimed = r.sweep(tb)
+	} else {
+		traced, reclaimed = r.reclaimLogged(tb)
 	}
 	res.History.Record(core.Scavenge{
 		T:         r.clock,
@@ -1002,6 +1038,184 @@ func (r *Runner) scavenge(reason TriggerReason, live uint64) {
 			MarkTriggered: reason == TriggerMark,
 		})
 	}
+}
+
+// reclaimLogged is a log runner's collection with boundary tb. Every
+// live object is in every runner's heap, so the bytes traced are the
+// tape's live bytes born after tb. The dead objects in this runner's
+// heap are its tenured garbage and the deaths logged since its cursor:
+// those born after tb are reclaimed, and new deaths born at or before
+// it join the tenured set. Tenured garbage born after tb is there when
+// the boundary moved back below earlier ones.
+//
+//dtbvet:hotpath one call per simulated collection on a log runner
+func (r *Runner) reclaimLogged(tb core.Time) (traced, reclaimed uint64) {
+	tp := r.tape
+	i := tp.bornAfter(tb)
+	traced = tp.liveBytesFrom(i, tb)
+	thr := int32(i)
+	reclaimed = r.tenured.reclaim(thr, tp.sizes)
+	for _, d := range tp.deaths[r.cursor-tp.deathBase:] {
+		if d.ord >= thr {
+			reclaimed += d.size
+		} else {
+			r.tenured.add(d.ord)
+		}
+	}
+	r.cursor = tp.deathBase + uint64(len(tp.deaths))
+	r.inUse -= reclaimed
+	return traced, reclaimed
+}
+
+// sweep is a sweeping runner's collection with boundary tb: objs is
+// birth ordered, so the threatened region is a suffix, whose dead
+// objects it drops and whose survivors it traces.
+func (r *Runner) sweep(tb core.Time) (traced, reclaimed uint64) {
+	tp := r.tape
+	births := tp.births
+	objs := r.objs
+	start := sort.Search(len(objs), func(i int) bool { return births[objs[i]] > tb })
+	w := start
+	for i := start; i < len(objs); i++ {
+		ord := objs[i]
+		size := tp.sizes[ord]
+		if tp.dead[ord] {
+			reclaimed += size
+			r.inUse -= size
+			if r.present != nil {
+				r.present[ord] = false
+			}
+			continue
+		}
+		traced += size
+		objs[w] = ord
+		w++
+	}
+	r.objs = objs[:w]
+	if r.pages != nil {
+		// Copying semantics: every survivor of the threatened region
+		// is read at its old address and written to a fresh one; the
+		// collector never touches garbage.
+		for i := start; i < len(r.objs); i++ {
+			ord := r.objs[i]
+			size := tp.sizes[ord]
+			r.pages.Touch(r.addrs[ord], size)
+			r.addrs[ord] = r.nextAddr
+			r.nextAddr += size
+			r.pages.Touch(r.addrs[ord], size)
+		}
+	}
+	return traced, reclaimed
+}
+
+// tenuredSet is a log runner's tenured garbage: the ordinals of dead
+// objects that earlier boundaries left in its heap. A scavenge
+// reclaims every member at or above its threshold ordinal, and
+// compaction reads the smallest member as the oldest object the runner
+// still holds. New members wait in an unsorted pending list, which
+// costs O(1) each; only when a boundary moves back below one of them
+// does the list move into a binary max-heap, which then yields its
+// members from the largest down. So policies whose boundary never
+// moves back (FIXED, FEEDMED) never touch the heap. Ordinals are
+// unique, and after a reclaim every member left is below every member
+// taken, so taking members never takes the minimum unless it empties
+// the set.
+type tenuredSet struct {
+	heap       []int32 // binary max-heap
+	pending    []int32
+	pendingMax int32 // largest pending member; meaningless while pending is empty
+	min        int32 // smallest member; meaningless while the set is empty
+}
+
+func (t *tenuredSet) add(ord int32) {
+	if len(t.pending) == 0 || ord > t.pendingMax {
+		t.pendingMax = ord
+	}
+	if t.empty() || ord < t.min {
+		t.min = ord
+	}
+	t.pending = append(t.pending, ord)
+}
+
+// reclaim removes every member at or above thr and returns their
+// total size.
+func (t *tenuredSet) reclaim(thr int32, sizes []uint64) uint64 {
+	var bytes uint64
+	if len(t.pending) > 0 && t.pendingMax >= thr {
+		for _, ord := range t.pending {
+			if ord >= thr {
+				bytes += sizes[ord]
+			} else {
+				t.push(ord)
+			}
+		}
+		t.pending = t.pending[:0]
+	}
+	for len(t.heap) > 0 && t.heap[0] >= thr {
+		bytes += sizes[t.pop()]
+	}
+	return bytes
+}
+
+func (t *tenuredSet) empty() bool { return len(t.heap) == 0 && len(t.pending) == 0 }
+
+func (t *tenuredSet) push(ord int32) {
+	t.heap = append(t.heap, ord)
+	h := t.heap
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] >= h[i] {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+// pop removes and returns the heap's largest ordinal; the heap must
+// not be empty.
+func (t *tenuredSet) pop() int32 {
+	h := t.heap
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] > h[c] {
+			c++
+		}
+		if h[i] >= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	t.heap = h
+	return top
+}
+
+// floor is the smallest member, or math.MaxInt32 when empty.
+func (t *tenuredSet) floor() int32 {
+	if t.empty() {
+		return math.MaxInt32
+	}
+	return t.min
+}
+
+// rebase shifts every member down by d, which keeps the heap order.
+func (t *tenuredSet) rebase(d int32) {
+	for i := range t.heap {
+		t.heap[i] -= d
+	}
+	for i := range t.pending {
+		t.pending[i] -= d
+	}
+	t.pendingMax -= d
+	t.min -= d
 }
 
 // Finish closes the run and returns the Result. It is idempotent.
@@ -1269,6 +1483,8 @@ func (f *Fleet) FeedBatch(events []trace.Event) error {
 		for _, r := range f.runners {
 			r.apply(buf[n : n+1])
 		}
+		// Only scavenges move log cursors, and they run only here.
+		tp.trimDeaths(f.runners, false)
 		if ev.kind == trace.KindAlloc || ev.kind == trace.KindFree {
 			f.sampleInstr = ev.instr
 		}
@@ -1392,14 +1608,14 @@ func (f *Fleet) applyRun(run []resolved) {
 }
 
 // applySummary applies a run to a runner with no per-event state in
-// O(1) beyond the objs fill. Between horizons no scavenge runs, so the
-// runner's bytes in use grow by exactly the clock's growth: its memory
-// is the clock minus off = clock0 − inUse for a policy runner, the
-// clock itself for NoGC, and the Live baseline keeps no memory
-// statistic. It returns false, having changed nothing, when the memory
-// statistic cannot take the run's sums exactly (see
-// stats.Weighted.ObserveRun); the caller then applies the run event by
-// event.
+// O(1), beyond the objs fill on a sweeping runner. Between horizons no
+// scavenge runs, so the runner's bytes in use grow by exactly the
+// clock's growth: its memory is the clock minus off = clock0 − inUse
+// for a policy runner, the clock itself for NoGC, and the Live
+// baseline keeps no memory statistic. It returns false, having changed
+// nothing, when the memory statistic cannot take the run's sums
+// exactly (see stats.Weighted.ObserveRun); the caller then applies the
+// run event by event.
 //
 //dtbvet:hotpath one call per summarizing runner per run
 func (r *Runner) applySummary(s *runSummary) bool {
@@ -1424,7 +1640,7 @@ func (r *Runner) applySummary(s *runSummary) bool {
 	r.clock = s.clock
 	r.nEvents += s.events
 	r.lastInstr = s.lastInstr
-	if r.isPolicy && s.allocs > 0 {
+	if r.sweeps && s.allocs > 0 {
 		n := len(r.objs)
 		objs := slices.Grow(r.objs, s.allocs)[:n+s.allocs]
 		for j := range objs[n:] {
@@ -1444,6 +1660,29 @@ func (f *Fleet) Finish() []*Result {
 		results[i] = r.Finish()
 	}
 	return results
+}
+
+// Check resolves events against a fresh tape with no runners, which
+// compacts as a replay's would, and returns the first trace defect a
+// replay would report, with the same text (clock regressions,
+// duplicate allocations, double frees, frees of unknown objects,
+// unknown kinds), or nil. Every replay of a trace that passes it gets
+// past resolve. Unlike trace.Validate, it accepts pointer stores that
+// name dead or unknown objects, which replays treat as touching
+// nothing.
+func Check(events []trace.Event) error {
+	tp := newTape()
+	tp.compact = true
+	var ev resolved
+	for _, e := range events {
+		if err := tp.resolve(e, &ev); err != nil {
+			return err
+		}
+		if tp.events-tp.lastCompactCheck >= tp.checkEvery {
+			tp.maybeCompact(nil)
+		}
+	}
+	return nil
 }
 
 // Run simulates one collector over a complete in-memory trace on a

@@ -75,6 +75,34 @@ func TestRunRejectsMalformedTraces(t *testing.T) {
 	}
 }
 
+// TestCheckMatchesRunErrors: Check, which resolves a trace with no
+// runners, reports exactly the error a replay reports, including the
+// reuse of an ID that compaction has retired, and accepts every trace
+// a replay accepts.
+func TestCheckMatchesRunErrors(t *testing.T) {
+	churn := compactingChurnTrace(20000)
+	reuse := append(append([]trace.Event{}, churn...), trace.Alloc(churn[0].ID, 8, churn[len(churn)-1].Instr))
+	cases := [][]trace.Event{
+		{trace.Alloc(1, 8, 0), trace.Alloc(1, 8, 1)},
+		{trace.Alloc(1, 8, 0), trace.Free(1, 1), trace.Alloc(1, 8, 2)},
+		{trace.Free(9, 0)},
+		{trace.Alloc(1, 8, 0), trace.Free(1, 1), trace.Free(1, 2)},
+		{trace.Alloc(1, 8, 10), trace.Alloc(2, 8, 5)},
+		{{Kind: trace.Kind(99)}},
+		reuse,
+	}
+	for i, events := range cases {
+		_, want := Run(events, tinyConfig(core.Full{}))
+		got := Check(events)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("case %d: Check error %v, Run error %v", i, got, want)
+		}
+	}
+	if err := Check(churn); err != nil {
+		t.Errorf("Check rejected a well-formed trace: %v", err)
+	}
+}
+
 func TestNoGCMemoryIsCumulativeAllocation(t *testing.T) {
 	events := churnTrace(100, kb, 2, 0)
 	res := mustRun(t, events, Config{Mode: ModeNoGC})
