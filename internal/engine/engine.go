@@ -114,13 +114,12 @@ func SliceBatchSource(events []trace.Event) BatchSource {
 }
 
 // ReaderBatchSource adapts the strict trace decoder to a BatchSource
-// using Reader.ReadBatch: one decode loop fills a reused buffer per
-// batch, so the per-event decoder call overhead is paid once per
-// batch, not once per runner feed. The loop runs on a second
-// goroutine, decoding the next batch into the second of two buffers
-// while emit applies the current one (see pipelined). If the decoder
-// fails mid-batch, the events it decoded before the failure are
-// emitted first.
+// using Reader.ReadBatch, which decodes each record straight from its
+// input window into a reused buffer: one decoder call per batch, not
+// per event. The loop runs on a second goroutine, decoding the next
+// batch into the second of two buffers while emit applies the current
+// one (see pipelined). If the decoder fails mid-batch, the events it
+// decoded before the failure are emitted first.
 func ReaderBatchSource(rd *trace.Reader) BatchSource {
 	return pipelined(context.Background(), func(buf []trace.Event, handoff handoffFunc) ([]trace.Event, error) {
 		for {

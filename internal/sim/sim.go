@@ -1702,28 +1702,22 @@ func Run(events []trace.Event, cfg Config) (*Result, error) {
 }
 
 // RunReader simulates a collector over a streamed trace on a solo
-// runner, decoding events one at a time and feeding them in chunks:
-// memory use is bounded by the heap model and the tape's per-object
-// bookkeeping, not the trace length. The events decoded before a
-// decode error are fed first, so a trace defect among them is the
-// error reported.
+// runner, decoding it in chunks with Reader.ReadBatch and feeding each
+// chunk: memory use is bounded by the heap model and the tape's
+// per-object bookkeeping, not the trace length. The events decoded
+// before a decode error are fed first, so a trace defect among them is
+// the error reported.
 func RunReader(rd *trace.Reader, cfg Config) (*Result, error) {
 	r, err := NewRunner(cfg)
 	if err != nil {
 		return nil, err
 	}
-	chunk := make([]trace.Event, 0, fleetRunEvents)
+	chunk := make([]trace.Event, fleetRunEvents)
 	for {
-		e, rerr := rd.Read()
-		if rerr == nil {
-			if chunk = append(chunk, e); len(chunk) < cap(chunk) {
-				continue
-			}
-		}
-		if err := r.solo.FeedBatch(chunk); err != nil {
+		n, rerr := rd.ReadBatch(chunk)
+		if err := r.solo.FeedBatch(chunk[:n]); err != nil {
 			return nil, err
 		}
-		chunk = chunk[:0]
 		if rerr == io.EOF {
 			return r.Finish(), nil
 		}

@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -30,7 +32,7 @@ var ErrBadMagic = errors.New("trace: bad magic, not a binary DTB trace")
 // Writer encodes events to the binary format.
 type Writer struct {
 	w         *bufio.Writer
-	buf       [binary.MaxVarintLen64]byte
+	buf       [1 + 4*binary.MaxVarintLen64]byte // a whole record, less a mark's label
 	lastInstr uint64
 	wroteHdr  bool
 	n         int
@@ -51,59 +53,48 @@ func (w *Writer) header() error {
 	return err
 }
 
-func (w *Writer) uvarint(v uint64) error {
-	n := binary.PutUvarint(w.buf[:], v)
-	_, err := w.w.Write(w.buf[:n])
-	return err
-}
-
-// Write encodes one event.
+// Write encodes one event. An event it rejects (a clock regression or
+// an unknown kind) writes nothing and leaves the clock and Count as
+// they were, so the events written around it still form a valid trace.
 func (w *Writer) Write(e Event) error {
-	if err := w.header(); err != nil {
-		return err
-	}
 	if e.Instr < w.lastInstr {
 		return fmt.Errorf("trace: Writer clock regressed %d -> %d", w.lastInstr, e.Instr)
 	}
-	d := e.Instr - w.lastInstr
-	w.lastInstr = e.Instr
-	if err := w.w.WriteByte(byte(e.Kind)); err != nil {
-		return err
-	}
+	rec := append(w.buf[:0], byte(e.Kind))
 	switch e.Kind {
 	case KindAlloc:
-		if err := w.uvarint(uint64(e.ID)); err != nil {
-			return err
-		}
-		if err := w.uvarint(e.Size); err != nil {
-			return err
-		}
+		rec = binary.AppendUvarint(rec, uint64(e.ID))
+		rec = binary.AppendUvarint(rec, e.Size)
 	case KindFree:
-		if err := w.uvarint(uint64(e.ID)); err != nil {
-			return err
-		}
+		rec = binary.AppendUvarint(rec, uint64(e.ID))
 	case KindPtrWrite:
-		if err := w.uvarint(uint64(e.ID)); err != nil {
-			return err
-		}
-		if err := w.uvarint(uint64(e.Field)); err != nil {
-			return err
-		}
-		if err := w.uvarint(uint64(e.Target)); err != nil {
-			return err
-		}
+		rec = binary.AppendUvarint(rec, uint64(e.ID))
+		rec = binary.AppendUvarint(rec, uint64(e.Field))
+		rec = binary.AppendUvarint(rec, uint64(e.Target))
 	case KindMark:
-		if err := w.uvarint(uint64(len(e.Label))); err != nil {
+		rec = binary.AppendUvarint(rec, uint64(len(e.Label)))
+	default:
+		return fmt.Errorf("trace: cannot encode unknown kind %d", e.Kind)
+	}
+	if err := w.header(); err != nil {
+		return err
+	}
+	if e.Kind == KindMark {
+		if _, err := w.w.Write(rec); err != nil {
 			return err
 		}
 		if _, err := w.w.WriteString(e.Label); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("trace: cannot encode unknown kind %d", e.Kind)
+		rec = rec[:0]
 	}
+	rec = binary.AppendUvarint(rec, e.Instr-w.lastInstr)
+	if _, err := w.w.Write(rec); err != nil {
+		return err
+	}
+	w.lastInstr = e.Instr
 	w.n++
-	return w.uvarint(d)
+	return nil
 }
 
 // Count returns the number of events written so far.
@@ -118,154 +109,290 @@ func (w *Writer) Flush() error {
 	return w.w.Flush()
 }
 
-// Reader decodes events from the binary format.
-type Reader struct {
-	r         *bufio.Reader
-	readHdr   bool
-	lastInstr uint64
+// byteWindow is the input both binary decoders read through: buf holds
+// the stream read so far in chunks, and buf[start:end] is the part not
+// yet decoded. Records are decoded in place from it by decodeRecord.
+// The buffer is allocated once, at windowSize, and doubles only when a
+// single record is longer than it (a mark label, at most maxLabel
+// bytes).
+type byteWindow struct {
+	r          io.Reader
+	buf        []byte
+	start, end int
+	hdr        bool  // the magic has been read and checked
+	eof        bool  // r returned io.EOF: no more input will arrive
+	err        error // a read error that arrived with bytes, held until they are decoded
 }
 
-// NewReader returns a Reader decoding from r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
-}
+const (
+	windowSize = 32 * 1024
+	// maxEmptyReads bounds the (0, nil) reads fill accepts in a row
+	// before it gives up with io.ErrNoProgress, as bufio.Reader does.
+	maxEmptyReads = 100
+	// maxLabel caps a mark label's length, so a corrupt length cannot
+	// make the decoder buffer an unbounded record.
+	maxLabel = 1 << 20
+)
 
-func (r *Reader) checkHeader() error {
-	if r.readHdr {
-		return nil
-	}
-	r.readHdr = true
-	hdr := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(r.r, hdr); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("%w: truncated header", ErrBadMagic)
-		}
+// bytes returns the undecoded input.
+func (w *byteWindow) bytes() []byte { return w.buf[w.start:w.end] }
+
+// fill moves the undecoded bytes to the front of the buffer and reads
+// once more after them. It returns nil when bytes arrived and io.EOF
+// at the end of the stream. A read that returns bytes together with
+// another error delivers the bytes now and the error on the next call,
+// once they have been decoded; bufio.Reader behaves the same, and an
+// http.MaxBytesReader returns exactly that pair at its limit.
+func (w *byteWindow) fill() error {
+	if err := w.err; err != nil {
+		w.err = nil
 		return err
 	}
-	for i, b := range binaryMagic {
-		if hdr[i] != b {
-			return ErrBadMagic
+	if w.eof {
+		return io.EOF
+	}
+	if w.buf == nil {
+		w.buf = make([]byte, windowSize)
+	}
+	w.end = copy(w.buf, w.buf[w.start:w.end])
+	w.start = 0
+	if w.end == len(w.buf) {
+		w.buf = append(w.buf, make([]byte, len(w.buf))...)
+	}
+	for range maxEmptyReads {
+		n, err := w.r.Read(w.buf[w.end:])
+		w.end += n
+		if err == io.EOF {
+			w.eof, err = true, nil
+		}
+		switch {
+		case n > 0:
+			w.err = err
+			return nil
+		case err != nil:
+			return err
+		case w.eof:
+			return io.EOF
 		}
 	}
+	return io.ErrNoProgress
+}
+
+// header reads and checks the magic; both decoders call it until hdr
+// is set. It is strict for both: recovery never invents a stream
+// identity.
+func (w *byteWindow) header() error {
+	for w.end-w.start < len(binaryMagic) {
+		if err := w.fill(); err != nil {
+			if err == io.EOF {
+				return fmt.Errorf("%w: truncated header", ErrBadMagic)
+			}
+			return err
+		}
+	}
+	if !bytes.Equal(w.bytes()[:len(binaryMagic)], binaryMagic) {
+		return ErrBadMagic
+	}
+	w.start += len(binaryMagic)
+	w.hdr = true
 	return nil
 }
 
+// errShortRecord says the input ended before the record did; with
+// more input it might still decode.
+var errShortRecord = errors.New("trace: record extends past available bytes")
+
+// errOverflow reports a varint longer than ten bytes or past 2^64,
+// with the text binary.ReadUvarint gives it.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// varintErr classifies a varint binary.Uvarint could not decode (n is
+// its count): a proper prefix of a varint needs more input, and ten
+// continuation bytes overflow whatever follows them.
+func varintErr(b []byte, n int) error {
+	if n == 0 && len(b) < binary.MaxVarintLen64 {
+		return errShortRecord
+	}
+	return errOverflow
+}
+
+// decodeRecord decodes the record at the start of b into *e, given the
+// previous record's instruction clock, and returns its encoded length.
+// It returns errShortRecord when b is a proper prefix of a record that
+// might still decode, and a descriptive error when the bytes cannot
+// begin a record; *e is then undefined. Every field of *e is written,
+// so it may hold a previous event.
+func decodeRecord(e *Event, b []byte, lastInstr uint64) (int, error) {
+	if len(b) == 0 {
+		return 0, errShortRecord
+	}
+	kind := Kind(b[0])
+	var f [4]uint64 // the record's fields in order; the clock delta is last
+	nf := 0
+	switch kind {
+	case KindAlloc:
+		nf = 3
+	case KindFree:
+		nf = 2
+	case KindPtrWrite:
+		nf = 4
+	case KindMark:
+		return decodeMark(e, b, lastInstr)
+	default:
+		return 0, fmt.Errorf("trace: unknown event kind byte %d", b[0])
+	}
+	pos := 1
+	for i := range nf {
+		// Most clock deltas, and the IDs and sizes of small traces, fit
+		// in one byte.
+		if pos < len(b) && b[pos] < 0x80 {
+			f[i] = uint64(b[pos])
+			pos++
+			continue
+		}
+		v, n := binary.Uvarint(b[pos:])
+		if n <= 0 {
+			return 0, varintErr(b[pos:], n)
+		}
+		f[i] = v
+		pos += n
+	}
+	switch kind {
+	case KindAlloc:
+		*e = Event{Kind: kind, ID: ObjectID(f[0]), Size: f[1], Instr: lastInstr + f[2]}
+	case KindFree:
+		*e = Event{Kind: kind, ID: ObjectID(f[0]), Instr: lastInstr + f[1]}
+	default:
+		*e = Event{Kind: kind, ID: ObjectID(f[0]), Field: uint32(f[1]), Target: ObjectID(f[2]), Instr: lastInstr + f[3]}
+	}
+	return pos, nil
+}
+
+// decodeMark is decodeRecord for a mark: length, label, clock delta.
+// The length is checked against maxLabel before the label is awaited.
+func decodeMark(e *Event, b []byte, lastInstr uint64) (int, error) {
+	pos := 1
+	size, n := binary.Uvarint(b[pos:])
+	if n <= 0 {
+		return 0, varintErr(b[pos:], n)
+	}
+	if size > maxLabel {
+		return 0, fmt.Errorf("trace: mark label length %d exceeds limit", size)
+	}
+	pos += n
+	if uint64(len(b)-pos) < size {
+		return 0, errShortRecord
+	}
+	label := b[pos : pos+int(size)]
+	pos += int(size)
+	d, n := binary.Uvarint(b[pos:])
+	if n <= 0 {
+		return 0, varintErr(b[pos:], n)
+	}
+	*e = Event{Kind: KindMark, Label: string(label), Instr: lastInstr + d}
+	return pos + n, nil
+}
+
+// Reader decodes events from the binary format. It reads its input in
+// chunks into a byte window and decodes each record in place from
+// there; RecoveringReader shares the window and the record decoder and
+// differs only in what it does with a record that does not decode.
+type Reader struct {
+	in        byteWindow
+	lastInstr uint64
+	one       [1]Event // Read's batch
+}
+
+// NewReader returns a Reader decoding from r. It reads ahead of the
+// records it has returned by up to one window (32 KB), as a
+// bufio.Reader reads ahead by its buffer size.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{in: byteWindow{r: r}}
+}
+
 // Read decodes the next event. It returns io.EOF at a clean end of
-// stream.
+// stream. It is a one-event ReadBatch.
 func (r *Reader) Read() (Event, error) {
-	if err := r.checkHeader(); err != nil {
+	if _, err := r.ReadBatch(r.one[:]); err != nil {
 		return Event{}, err
 	}
-	kb, err := r.r.ReadByte()
-	if err != nil {
-		return Event{}, err // io.EOF here is the clean end
-	}
-	e := Event{Kind: Kind(kb)}
-	switch e.Kind {
-	case KindAlloc:
-		id, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		size, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		e.ID, e.Size = ObjectID(id), size
-	case KindFree:
-		id, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		e.ID = ObjectID(id)
-	case KindPtrWrite:
-		id, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		field, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		target, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		e.ID, e.Field, e.Target = ObjectID(id), uint32(field), ObjectID(target)
-	case KindMark:
-		n, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		const maxLabel = 1 << 20
-		if n > maxLabel {
-			return Event{}, fmt.Errorf("trace: mark label length %d exceeds limit", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r.r, buf); err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		e.Label = string(buf)
-	default:
-		return Event{}, fmt.Errorf("trace: unknown event kind byte %d", kb)
-	}
-	d, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return Event{}, unexpectedEOF(err)
-	}
-	r.lastInstr += d
-	e.Instr = r.lastInstr
-	return e, nil
+	return r.one[0], nil
 }
 
 // ReadBatch decodes up to len(dst) events into dst and returns how
 // many it filled. A short count with a nil error means the stream
 // ended cleanly mid-batch; the next call returns (0, io.EOF). On a
 // decode error the events before the failure are returned alongside
-// it. One ReadBatch call amortizes the per-event decoder-call overhead
-// of a replay loop across the whole batch, which is why the batched
-// replay engine feeds from it.
+// it: io.ErrUnexpectedEOF when the stream ends inside a record. The
+// records are decoded straight from the input window into dst, and the
+// window is refilled only when it runs dry, so the batched replay
+// engine feeds from this loop.
 //
 //dtbvet:hotpath one call per replay batch, decoding the whole frame
 func (r *Reader) ReadBatch(dst []Event) (int, error) {
-	n := 0
-	for n < len(dst) {
-		e, err := r.Read()
-		if err == io.EOF {
-			if n > 0 {
-				return n, nil
-			}
-			return 0, io.EOF
+	if !r.in.hdr {
+		if err := r.in.header(); err != nil {
+			return 0, err
 		}
-		if err != nil {
+	}
+	n := 0
+	for {
+		m, err := r.decode(dst[n:])
+		n += m
+		if err != errShortRecord {
 			return n, err
 		}
-		dst[n] = e
-		n++
+		switch err := r.in.fill(); {
+		case err == nil:
+		case err != io.EOF:
+			return n, err
+		case r.in.start < r.in.end:
+			return n, io.ErrUnexpectedEOF // the stream ended inside a record
+		case n == 0:
+			return 0, io.EOF
+		default:
+			return n, nil
+		}
 	}
-	return n, nil
 }
 
-// ReadAll decodes the remainder of the stream.
+// decode fills dst from the window until dst is full (nil) or a
+// record does not decode (errShortRecord if it needs more input).
+func (r *Reader) decode(dst []Event) (int, error) {
+	b, last := r.in.bytes(), r.lastInstr
+	n := 0
+	var err error
+	for ; n < len(dst); n++ {
+		var m int
+		if m, err = decodeRecord(&dst[n], b, last); err != nil {
+			break
+		}
+		b, last = b[m:], dst[n].Instr
+	}
+	r.in.start, r.lastInstr = r.in.end-len(b), last
+	return n, err
+}
+
+// ReadAll decodes the remainder of the stream, batch by batch into the
+// spare capacity of the slice it returns. The slice grows as append
+// grows it one event at a time, so a caller that keeps the events
+// (dtbd caches uploaded traces) holds no more spare capacity than
+// append would leave.
 func (r *Reader) ReadAll() ([]Event, error) {
 	var events []Event
 	for {
-		e, err := r.Read()
+		if len(events) == cap(events) {
+			events = slices.Grow(events, 1)
+		}
+		n, err := r.ReadBatch(events[len(events):cap(events)])
+		events = events[:len(events)+n]
 		if err == io.EOF {
 			return events, nil
 		}
 		if err != nil {
 			return events, err
 		}
-		events = append(events, e)
 	}
-}
-
-func unexpectedEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // WriteAll encodes a whole trace to w in the binary format.

@@ -371,3 +371,127 @@ func TestReadBatchEmptyTrace(t *testing.T) {
 		t.Fatalf("empty trace ReadBatch = (%d, %v), want (0, io.EOF)", n, err)
 	}
 }
+
+// TestRejectedWriteLeavesStreamUntouched: a Write the encoder refuses
+// writes no byte and moves neither the clock nor Count, so the events
+// written around it still form exactly the trace of the accepted ones.
+func TestRejectedWriteLeavesStreamUntouched(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	writes := []struct {
+		e      Event
+		reject bool
+	}{
+		{Event{Kind: 0, Instr: 5}, true},
+		{Alloc(1, 32, 10), false},
+		{Event{Kind: 9, Instr: 50}, true},
+		{Alloc(2, 8, 5), true},
+		{Free(1, 20), false},
+	}
+	var accepted []Event
+	for _, wr := range writes {
+		err := w.Write(wr.e)
+		if (err != nil) != wr.reject {
+			t.Fatalf("Write(%+v) = %v, want rejected %v", wr.e, err, wr.reject)
+		}
+		if err == nil {
+			accepted = append(accepted, wr.e)
+		}
+		if w.Count() != len(accepted) {
+			t.Fatalf("Count = %d after %d accepted writes", w.Count(), len(accepted))
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := WriteAll(&want, accepted); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatalf("stream with rejected writes = % x, want % x", buf.Bytes(), want.Bytes())
+	}
+	got, err := NewReader(&buf).ReadAll()
+	if err != nil || !reflect.DeepEqual(got, accepted) {
+		t.Fatalf("decoded %v, %v; want %v", got, err, accepted)
+	}
+}
+
+// TestReadErrorsAfterDeliveredRecords: both decoders decode the records
+// a source delivered before it failed, then report the failure — a
+// read error that arrives together with bytes, or io.ErrNoProgress for
+// a source that keeps returning (0, nil) — and never spin.
+func TestReadErrorsAfterDeliveredRecords(t *testing.T) {
+	events := sampleEvents()
+	data := encode(t, events)
+	offs := recordOffsets(t, events)
+	for _, tc := range []struct {
+		mode int
+		want error
+	}{{deliverError, errInjected}, {deliverStall, io.ErrNoProgress}} {
+		for _, cut := range []int{0, 3, offs[2], offs[2] + 1, offs[len(events)]} {
+			complete := 0
+			for complete < len(events) && offs[complete+1] <= cut {
+				complete++
+			}
+			strict, serr := NewReader(&deliveryReader{data: data, mode: tc.mode, at: cut}).ReadAll()
+			recovered, rerr := NewRecoveringReader(&deliveryReader{data: data, mode: tc.mode, at: cut}).ReadAll()
+			if serr != tc.want || len(strict) != complete || rerr != tc.want || len(recovered) != complete {
+				t.Errorf("fault %d at byte %d: strict %d events, %v; recovering %d events, %v; want %d events, %v",
+					tc.mode, cut, len(strict), serr, len(recovered), rerr, complete, tc.want)
+			}
+		}
+	}
+}
+
+// TestDecodeAllocsIndependentOfLength: decoding allocates per reader
+// (its window), never per event or per refill, so a 400k-event trace
+// costs the allocations of a 10k-event one on every decode path.
+func TestDecodeAllocsIndependentOfLength(t *testing.T) {
+	churn := func(n int) []byte {
+		events := make([]Event, 0, n)
+		for i := 0; len(events) < n; i++ {
+			id := ObjectID(i + 1)
+			events = append(events, Alloc(id, uint64(16+i%300), uint64(3*i)), Free(id, uint64(3*i+1)))
+		}
+		return encode(t, events)
+	}
+	dst := make([]Event, 4096)
+	paths := []struct {
+		name   string
+		decode func([]byte)
+	}{
+		{"ReadBatch", func(data []byte) {
+			rd := NewReader(bytes.NewReader(data))
+			for {
+				if _, err := rd.ReadBatch(dst); err != nil {
+					return
+				}
+			}
+		}},
+		{"Read", func(data []byte) {
+			rd := NewReader(bytes.NewReader(data))
+			for {
+				if _, err := rd.Read(); err != nil {
+					return
+				}
+			}
+		}},
+		{"RecoveringReader", func(data []byte) {
+			rd := NewRecoveringReader(bytes.NewReader(data))
+			for {
+				if _, err := rd.Read(); err != nil {
+					return
+				}
+			}
+		}},
+	}
+	small, large := churn(10_000), churn(400_000)
+	for _, p := range paths {
+		a := testing.AllocsPerRun(2, func() { p.decode(small) })
+		b := testing.AllocsPerRun(2, func() { p.decode(large) })
+		if a != b {
+			t.Errorf("%s: %v allocations for 10k events, %v for 400k", p.name, a, b)
+		}
+	}
+}

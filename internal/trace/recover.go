@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -78,119 +76,26 @@ func (d DropStats) String() string {
 	return fmt.Sprintf("%s, %d byte(s) dropped", s, d.BytesDropped)
 }
 
-// errShortRecord says the buffer ended before the record did; with
-// more input it might still decode.
-var errShortRecord = errors.New("trace: record extends past available bytes")
-
-// uvarintAt decodes a uvarint from b, distinguishing "need more bytes"
-// from "corrupt encoding".
-func uvarintAt(b []byte) (uint64, int, error) {
-	v, n := binary.Uvarint(b)
-	if n > 0 {
-		return v, n, nil
-	}
-	if n == 0 {
-		if len(b) >= binary.MaxVarintLen64 {
-			return 0, 0, fmt.Errorf("trace: varint longer than %d bytes", binary.MaxVarintLen64)
-		}
-		return 0, 0, errShortRecord
-	}
-	return 0, 0, errors.New("trace: varint overflows uint64")
-}
-
-// decodeRecord decodes one event record from the start of b, given the
-// previous record's instruction clock. It returns the event, the
-// record's encoded length, and nil; errShortRecord when b is a proper
-// prefix of a possibly-valid record; or a descriptive error when the
-// bytes cannot begin a record.
-func decodeRecord(b []byte, lastInstr uint64) (Event, int, error) {
-	if len(b) == 0 {
-		return Event{}, 0, errShortRecord
-	}
-	e := Event{Kind: Kind(b[0])}
-	pos := 1
-	uv := func() (uint64, error) {
-		v, n, err := uvarintAt(b[pos:])
-		pos += n
-		return v, err
-	}
-	switch e.Kind {
-	case KindAlloc:
-		id, err := uv()
-		if err != nil {
-			return Event{}, 0, err
-		}
-		size, err := uv()
-		if err != nil {
-			return Event{}, 0, err
-		}
-		e.ID, e.Size = ObjectID(id), size
-	case KindFree:
-		id, err := uv()
-		if err != nil {
-			return Event{}, 0, err
-		}
-		e.ID = ObjectID(id)
-	case KindPtrWrite:
-		id, err := uv()
-		if err != nil {
-			return Event{}, 0, err
-		}
-		field, err := uv()
-		if err != nil {
-			return Event{}, 0, err
-		}
-		target, err := uv()
-		if err != nil {
-			return Event{}, 0, err
-		}
-		e.ID, e.Field, e.Target = ObjectID(id), uint32(field), ObjectID(target)
-	case KindMark:
-		n, err := uv()
-		if err != nil {
-			return Event{}, 0, err
-		}
-		const maxLabel = 1 << 20
-		if n > maxLabel {
-			return Event{}, 0, fmt.Errorf("trace: mark label length %d exceeds limit", n)
-		}
-		if uint64(len(b)-pos) < n {
-			return Event{}, 0, errShortRecord
-		}
-		e.Label = string(b[pos : pos+int(n)])
-		pos += int(n)
-	default:
-		return Event{}, 0, fmt.Errorf("trace: unknown event kind byte %d", b[0])
-	}
-	d, err := uv()
-	if err != nil {
-		return Event{}, 0, err
-	}
-	e.Instr = lastInstr + d
-	return e, pos, nil
-}
-
 // RecoveringReader decodes the binary format with recovery: corrupt
 // records are resynced past and a torn tail is absorbed, both counted
-// in Drops. Use it where a partial answer over a damaged capture beats
-// no answer — and always surface Drops; the strict Reader remains the
-// default for data whose integrity matters.
+// in Drops. It reads through the same byte window and record decoder
+// as Reader and differs only where a record does not decode: Reader
+// returns the error, RecoveringReader resyncs. Use it where a partial
+// answer over a damaged capture beats no answer — and always surface
+// Drops; the strict Reader remains the default for data whose
+// integrity matters.
 type RecoveringReader struct {
-	r         io.Reader
-	buf       []byte
-	start     int // window start within buf
-	end       int // window end within buf
-	eof       bool
-	readHdr   bool
+	in        byteWindow
 	lastInstr uint64
 	drops     DropStats
 	inSkip    bool // mid resync-episode
 	events    int
 }
 
-// NewRecoveringReader returns a recovery-mode decoder for r.
+// NewRecoveringReader returns a recovery-mode decoder for r. Like
+// NewReader, it reads ahead by up to one window.
 func NewRecoveringReader(r io.Reader) *RecoveringReader {
-	return &RecoveringReader{r: r}
+	return &RecoveringReader{in: byteWindow{r: r}}
 }
 
 // Drops returns the accounting so far; final once Read has returned
@@ -200,63 +105,11 @@ func (r *RecoveringReader) Drops() DropStats { return r.drops }
 // Events returns the number of events decoded so far.
 func (r *RecoveringReader) Events() int { return r.events }
 
-// fill reads more input into the window, setting eof at stream end.
-// It reports whether any bytes arrived.
-func (r *RecoveringReader) fill() (bool, error) {
-	if r.eof {
-		return false, nil
-	}
-	// Compact before growing: keep the window at the buffer's front.
-	if r.start > 0 {
-		n := copy(r.buf, r.buf[r.start:r.end])
-		r.start, r.end = 0, n
-	}
-	const chunk = 32 * 1024
-	if len(r.buf)-r.end < chunk {
-		nb := make([]byte, r.end+chunk)
-		copy(nb, r.buf[:r.end])
-		r.buf = nb
-	}
-	n, err := r.r.Read(r.buf[r.end:])
-	r.end += n
-	switch {
-	case err == io.EOF:
-		r.eof = true
-	case err != nil:
-		return n > 0, err
-	}
-	return n > 0, nil
-}
-
-// window returns the undecoded bytes currently buffered.
-func (r *RecoveringReader) window() []byte { return r.buf[r.start:r.end] }
-
-// header consumes and verifies the magic. It is strict: recovery
-// never invents a stream identity.
-func (r *RecoveringReader) header() error {
-	for r.end-r.start < len(binaryMagic) && !r.eof {
-		if _, err := r.fill(); err != nil {
-			return err
-		}
-	}
-	if r.end-r.start < len(binaryMagic) {
-		return fmt.Errorf("%w: truncated header", ErrBadMagic)
-	}
-	for i, b := range binaryMagic {
-		if r.buf[r.start+i] != b {
-			return ErrBadMagic
-		}
-	}
-	r.start += len(binaryMagic)
-	r.readHdr = true
-	return nil
-}
-
 // skipByte abandons one window byte as part of a resync episode.
 func (r *RecoveringReader) skipByte() {
 	r.inSkip = true
 	r.drops.BytesDropped++
-	r.start++
+	r.in.start++
 }
 
 // closeEpisode ends a resync episode, if one is open.
@@ -272,39 +125,42 @@ func (r *RecoveringReader) closeEpisode() {
 // are real I/O failures from the underlying reader (or a damaged
 // header) — recovery absorbs damaged content, not a failing disk.
 func (r *RecoveringReader) Read() (Event, error) {
-	if !r.readHdr {
-		if err := r.header(); err != nil {
+	if !r.in.hdr {
+		if err := r.in.header(); err != nil {
 			return Event{}, err
 		}
 	}
 	for {
-		e, n, err := decodeRecord(r.window(), r.lastInstr)
+		var e Event
+		n, err := decodeRecord(&e, r.in.bytes(), r.lastInstr)
 		switch {
 		case err == nil:
 			r.closeEpisode()
-			r.start += n
+			r.in.start += n
 			r.lastInstr = e.Instr
 			r.events++
 			return e, nil
-		case errors.Is(err, errShortRecord):
-			if !r.eof {
-				if _, ferr := r.fill(); ferr != nil {
-					return Event{}, ferr
-				}
+		case err == errShortRecord:
+			ferr := r.in.fill()
+			if ferr == nil {
 				continue
+			}
+			if ferr != io.EOF {
+				return Event{}, ferr
 			}
 			// The stream ended inside this record. If we were already
 			// resyncing, keep sliding: a shorter record might still
 			// decode from a later start. Otherwise this is the torn
 			// tail: drop the remainder in one accounted bite.
-			if r.inSkip && r.end-r.start > 0 {
+			rest := r.in.end - r.in.start
+			if r.inSkip && rest > 0 {
 				r.skipByte()
 				continue
 			}
-			if rest := r.end - r.start; rest > 0 {
+			if rest > 0 {
 				r.drops.TornTail++
 				r.drops.BytesDropped += uint64(rest)
-				r.start = r.end
+				r.in.start = r.in.end
 			}
 			r.closeEpisode()
 			return Event{}, io.EOF
