@@ -232,7 +232,7 @@ func runEval(args []string, stdout, stderr io.Writer) (err error) {
 		if uerr := json.Unmarshal(resp.Result, &res); uerr != nil {
 			return fmt.Errorf("decoding result: %w", uerr)
 		}
-		printSummary(w, &res)
+		cliio.PrintSummary(w, &res)
 		return nil
 	})
 }
@@ -281,23 +281,4 @@ func runStatus(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(w, "service p50/p99: %.2f / %.2f ms\n", snap.ServiceP50Ms, snap.ServiceP99Ms)
 		return nil
 	})
-}
-
-// printSummary is dtbsim's summary block, replicated byte for byte —
-// CI diffs the two tools' stdout over the same run to keep them from
-// drifting.
-func printSummary(w io.Writer, res *dtbgc.Result) {
-	fmt.Fprintf(w, "collector:      %s\n", res.Collector)
-	fmt.Fprintf(w, "total alloc:    %.0f KB over %.1f s (model time)\n", float64(res.TotalAlloc)/1024, res.ExecSeconds)
-	fmt.Fprintf(w, "memory mean/max: %.0f / %.0f KB\n", res.MemMeanBytes/1024, res.MemMaxBytes/1024)
-	fmt.Fprintf(w, "live   mean/max: %.0f / %.0f KB\n", res.LiveMeanBytes/1024, res.LiveMaxBytes/1024)
-	fmt.Fprintf(w, "collections:    %d\n", res.Collections)
-	if res.Collections > 0 {
-		fmt.Fprintf(w, "pauses p50/p90: %.0f / %.0f ms\n", res.MedianPauseSeconds()*1000, res.P90PauseSeconds()*1000)
-		fmt.Fprintf(w, "traced total:   %.0f KB (overhead %.1f%%)\n", float64(res.TracedTotalBytes)/1024, res.OverheadPct)
-	}
-	if res.PageAccesses > 0 {
-		fmt.Fprintf(w, "page faults:    %d of %d accesses (%.2f%%)\n",
-			res.PageFaults, res.PageAccesses, 100*float64(res.PageFaults)/float64(res.PageAccesses))
-	}
 }

@@ -53,9 +53,10 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 }
 
 // TestEvalSummaryMatchesDirectRun drives the workload path through
-// the real daemon and checks the printed summary equals the replicated
-// printSummary over a direct library run — the CLI's flag mapping and
-// the daemon's result must both be faithful for the bytes to agree.
+// the real daemon and checks the printed summary equals
+// cliio.PrintSummary over a direct library run — the CLI's flag
+// mapping and the daemon's result must both be faithful for the bytes
+// to agree.
 func TestEvalSummaryMatchesDirectRun(t *testing.T) {
 	addr := startDaemon(t)
 	var out, errBuf bytes.Buffer
@@ -78,7 +79,7 @@ func TestEvalSummaryMatchesDirectRun(t *testing.T) {
 		t.Fatalf("Simulate: %v", serr)
 	}
 	var want bytes.Buffer
-	printSummary(&want, res)
+	cliio.PrintSummary(&want, res)
 	if out.String() != want.String() {
 		t.Fatalf("dtbd eval summary differs from direct run:\ngot:\n%s\nwant:\n%s", out.String(), want.String())
 	}

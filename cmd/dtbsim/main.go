@@ -319,27 +319,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			_, err := io.WriteString(w, dtbgc.HistoryCSV(res))
 			return err
 		}
-		printSummary(w, res)
+		cliio.PrintSummary(w, res)
 		return nil
 	})
-}
-
-// printSummary writes the human summary; write errors stick in the
-// enclosing Output and surface at its close.
-func printSummary(w io.Writer, res *dtbgc.Result) {
-	fmt.Fprintf(w, "collector:      %s\n", res.Collector)
-	fmt.Fprintf(w, "total alloc:    %.0f KB over %.1f s (model time)\n", float64(res.TotalAlloc)/1024, res.ExecSeconds)
-	fmt.Fprintf(w, "memory mean/max: %.0f / %.0f KB\n", res.MemMeanBytes/1024, res.MemMaxBytes/1024)
-	fmt.Fprintf(w, "live   mean/max: %.0f / %.0f KB\n", res.LiveMeanBytes/1024, res.LiveMaxBytes/1024)
-	fmt.Fprintf(w, "collections:    %d\n", res.Collections)
-	if res.Collections > 0 {
-		fmt.Fprintf(w, "pauses p50/p90: %.0f / %.0f ms\n", res.MedianPauseSeconds()*1000, res.P90PauseSeconds()*1000)
-		fmt.Fprintf(w, "traced total:   %.0f KB (overhead %.1f%%)\n", float64(res.TracedTotalBytes)/1024, res.OverheadPct)
-	}
-	if res.PageAccesses > 0 {
-		fmt.Fprintf(w, "page faults:    %d of %d accesses (%.2f%%)\n",
-			res.PageFaults, res.PageAccesses, 100*float64(res.PageFaults)/float64(res.PageAccesses))
-	}
 }
 
 // fold labels a close error with the stream it came from.

@@ -1,5 +1,6 @@
 // Package cliio is the shared command-line I/O discipline for the cmd/
-// tools: checked output streams and uniform exit codes.
+// tools: checked output streams, uniform exit codes, and the run
+// summary dtbsim and dtbd eval both print.
 //
 // The bug class this package exists to kill: a tool that writes its
 // output through `defer f.Close()` exits 0 on a full disk, leaving a
@@ -29,6 +30,7 @@ import (
 	"os"
 
 	"github.com/dtbgc/dtbgc/internal/fault"
+	"github.com/dtbgc/dtbgc/internal/sim"
 )
 
 // UsageError marks a command-line mistake, exiting 2 where an
@@ -199,4 +201,23 @@ func WriteTo(path string, fallback io.Writer, plan *fault.Plan, fn func(io.Write
 		return fmt.Errorf("%s: %w", o.Name(), err)
 	}
 	return nil
+}
+
+// PrintSummary writes the human summary of one run, the block dtbsim
+// prints and dtbd eval repeats byte for byte for the same run. Write
+// errors stick in an enclosing Output and surface at its Close.
+func PrintSummary(w io.Writer, res *sim.Result) {
+	fmt.Fprintf(w, "collector:      %s\n", res.Collector)
+	fmt.Fprintf(w, "total alloc:    %.0f KB over %.1f s (model time)\n", float64(res.TotalAlloc)/1024, res.ExecSeconds)
+	fmt.Fprintf(w, "memory mean/max: %.0f / %.0f KB\n", res.MemMeanBytes/1024, res.MemMaxBytes/1024)
+	fmt.Fprintf(w, "live   mean/max: %.0f / %.0f KB\n", res.LiveMeanBytes/1024, res.LiveMaxBytes/1024)
+	fmt.Fprintf(w, "collections:    %d\n", res.Collections)
+	if res.Collections > 0 {
+		fmt.Fprintf(w, "pauses p50/p90: %.0f / %.0f ms\n", res.MedianPauseSeconds()*1000, res.P90PauseSeconds()*1000)
+		fmt.Fprintf(w, "traced total:   %.0f KB (overhead %.1f%%)\n", float64(res.TracedTotalBytes)/1024, res.OverheadPct)
+	}
+	if res.PageAccesses > 0 {
+		fmt.Fprintf(w, "page faults:    %d of %d accesses (%.2f%%)\n",
+			res.PageFaults, res.PageAccesses, 100*float64(res.PageFaults)/float64(res.PageAccesses))
+	}
 }

@@ -69,6 +69,43 @@ func ParsePolicy(spec string) (Policy, error) {
 	}
 }
 
+// PolicySpec prints p in the one spelling of it that ParsePolicy
+// reads: lower case, byte counts in plain bytes, every bandit and grad
+// parameter written out with its default filled in, and floats in %g,
+// as Name prints them. Parsing the spec gives a policy with the same
+// Name and the same behaviour, so every spelling of one policy prints
+// the same spec. It fails for policies ParsePolicy cannot build, such
+// as the ablations.
+func PolicySpec(p Policy) (string, error) {
+	switch p := p.(type) {
+	case Full:
+		return "full", nil
+	case Fixed:
+		if p.K >= 1 {
+			return "fixed" + strconv.Itoa(p.K), nil
+		}
+	case FeedMed:
+		return "feedmed:" + strconv.FormatUint(p.TraceMax, 10), nil
+	case DtbFM:
+		return "dtbfm:" + strconv.FormatUint(p.TraceMax, 10), nil
+	case DtbMem:
+		return "dtbmem:" + strconv.FormatUint(p.MemMax, 10), nil
+	case Bandit:
+		// The selector is the one the bandit runs with (see Name).
+		switch {
+		case p.UCB > 0 && !math.IsInf(p.UCB, 1):
+			return fmt.Sprintf("bandit:ucb=%g,arms=%d", p.UCB, p.arms()), nil
+		case !(p.UCB > 0) && p.Eps >= 0 && p.Eps <= 1:
+			return fmt.Sprintf("bandit:eps=%g,arms=%d", p.Eps, p.arms()), nil
+		}
+	case Gradient:
+		if r := p.rate(); r <= 10 {
+			return fmt.Sprintf("grad:rate=%g,trace=%d", r, p.traceMax()), nil
+		}
+	}
+	return "", fmt.Errorf("core: policy %T has no ParsePolicy spec", p)
+}
+
 // parseBandit parses the comma-separated key=value list after
 // "bandit:". Exactly one of eps/ucb selects the exploration strategy.
 func parseBandit(spec, arg string) (Policy, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -201,4 +202,87 @@ func expandOptional(s string) []string {
 		}
 	}
 	return out
+}
+
+// TestPolicySpec pins the canonical spelling: every spelling of one
+// policy prints the same spec, and policies ParsePolicy cannot build
+// have none.
+func TestPolicySpec(t *testing.T) {
+	cases := []struct {
+		specs []string
+		want  string
+	}{
+		{[]string{"full", " FULL "}, "full"},
+		{[]string{"fixed4", "FIXED4", "fixed04"}, "fixed4"},
+		{[]string{"feedmed:50k", "feedmed:51200"}, "feedmed:51200"},
+		{[]string{"dtbfm:50k", "dtbfm:51200", "DTBFM:50k", " dtbfm:50k", "dtbfm:50K"}, "dtbfm:51200"},
+		{[]string{"dtbmem:3000k", "dtbmem:3072000"}, "dtbmem:3072000"},
+		{[]string{"dtbmem:2m", "dtbmem:2048k"}, "dtbmem:2097152"},
+		{[]string{"bandit:eps=0.1", "bandit:eps=0.10,arms=8", "BANDIT:ARMS=8,EPS=1e-1"}, "bandit:eps=0.1,arms=8"},
+		{[]string{"bandit:ucb=1.5", "bandit:ucb=1.50,arms=8"}, "bandit:ucb=1.5,arms=8"},
+		{[]string{"bandit:eps=0.25,arms=12"}, "bandit:eps=0.25,arms=12"},
+		{[]string{"grad", "grad:rate=0.05", "grad:trace=50k", "grad:rate=0.050,trace=51200"}, "grad:rate=0.05,trace=51200"},
+		{[]string{"grad:rate=0.1,trace=64K"}, "grad:rate=0.1,trace=65536"},
+	}
+	for _, c := range cases {
+		for _, spec := range c.specs {
+			p, err := ParsePolicy(spec)
+			if err != nil {
+				t.Errorf("ParsePolicy(%q): %v", spec, err)
+				continue
+			}
+			got, err := PolicySpec(p)
+			if err != nil || got != c.want {
+				t.Errorf("PolicySpec(ParsePolicy(%q)) = %q, %v; want %q", spec, got, err, c.want)
+			}
+		}
+	}
+	for _, p := range []Policy{
+		nil,
+		Fixed{},
+		Bandit{Eps: 2},
+		Bandit{UCB: math.Inf(1)},
+		Gradient{Rate: 11},
+		DtbFMAblation{TraceMax: 100},
+		DtbMemAblation{MemMax: 100, Est: LEstTraced},
+	} {
+		if spec, err := PolicySpec(p); err == nil {
+			t.Errorf("PolicySpec(%#v) = %q, want an error", p, spec)
+		}
+	}
+}
+
+// FuzzPolicySpec: any string either fails ParsePolicy, or parses to a
+// policy whose spec parses again to a policy with the same Name and
+// prints the same spec.
+func FuzzPolicySpec(f *testing.F) {
+	fill := strings.NewReplacer("<bytes>", "50k", "<p>", "0.1", "<c>", "1.5", "<k>", "8", "<r>", "0.05")
+	for _, spelling := range KnownPolicies() {
+		for _, spec := range expandOptional(spelling) {
+			f.Add(fill.Replace(spec))
+		}
+	}
+	for _, spec := range []string{"dtbfm:50k", "dtbfm:51200", "DTBFM:50k", " dtbfm:50k", "dtbfm:50K"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePolicy(spec)
+		if err != nil {
+			return
+		}
+		s, err := PolicySpec(p)
+		if err != nil {
+			t.Fatalf("PolicySpec(ParsePolicy(%q) = %#v): %v", spec, p, err)
+		}
+		q, err := ParsePolicy(s)
+		if err != nil {
+			t.Fatalf("spec %q of %q does not parse: %v", s, spec, err)
+		}
+		if q.Name() != p.Name() {
+			t.Fatalf("spec %q of %q names %q, want %q", s, spec, q.Name(), p.Name())
+		}
+		if s2, err := PolicySpec(q); err != nil || s2 != s {
+			t.Fatalf("spec of %q prints %q, %v; want %q", s, s2, err, s)
+		}
+	})
 }

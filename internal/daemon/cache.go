@@ -7,22 +7,20 @@ import (
 	"github.com/dtbgc/dtbgc/internal/trace"
 )
 
-// The daemon's two caches, both keyed off the trace content digest
-// (internal/trace.Digest):
+// The daemon's two caches are both an lru:
 //
-//   - tapeCache holds decoded event tapes so a hot trace is decoded
-//     once and replayed many times. Bounded by an approximate byte
-//     budget, evicting least-recently-used whole tapes.
-//   - memoCache maps a complete evaluation key — trace identity ×
-//     policy spec × machine model × seed × every result-affecting
-//     knob — to the marshaled response already served for it, so a
-//     repeated evaluation is O(lookup) and byte-identical to the
-//     first. Bounded by entry count.
+//   - the tape cache maps a trace content digest (internal/trace.Digest)
+//     to its decoded event tape, so a hot trace is decoded once and
+//     replayed many times. Each tape costs its approximate in-memory
+//     bytes (tapeCost) against Config.TapeCacheBytes.
+//   - the memo maps a normalized request's key (EvalRequest.memoKey) to
+//     the payload already served for it, so a repeated evaluation is
+//     O(lookup) and byte-identical to the first. Each entry costs 1
+//     against Config.MemoEntries.
 //
-// Both are plain mutex-guarded LRUs: eviction order is deterministic
-// given the request order, and nothing here influences simulation
-// results — a cache miss and a cache hit serve the same bytes, which
-// the bit-identity tests prove.
+// Eviction order is deterministic given the request order, and nothing
+// here influences simulation results: a cache miss and a cache hit
+// serve the same bytes, which the bit-identity tests prove.
 
 // eventCost approximates the in-memory bytes of one decoded
 // trace.Event (struct fields plus slice header overhead); label bytes
@@ -39,132 +37,78 @@ func tapeCost(events []trace.Event) int64 {
 	return cost
 }
 
-// tapeCache is the bounded LRU of decoded tapes.
-type tapeCache struct {
+func newTapeCache(budgetBytes int64) *lru[trace.Digest, []trace.Event] {
+	return newLRU[trace.Digest](budgetBytes, tapeCost)
+}
+
+func newMemoCache(entries int) *lru[string, evalPayload] {
+	return newLRU[string](int64(entries), func(evalPayload) int64 { return 1 })
+}
+
+// lru is a mutex-guarded least-recently-used cache whose entries are
+// charged by a cost function against a budget.
+type lru[K comparable, V any] struct {
 	mu     sync.Mutex
 	budget int64
 	used   int64
-	order  *list.List // front = most recently used; values are *tapeEntry
-	byKey  map[trace.Digest]*list.Element
+	cost   func(V) int64
+	order  *list.List // front = most recently used; values are *lruEntry[K, V]
+	byKey  map[K]*list.Element
 }
 
-type tapeEntry struct {
-	key    trace.Digest
-	events []trace.Event
-	cost   int64
+type lruEntry[K comparable, V any] struct {
+	key  K
+	val  V
+	cost int64
 }
 
-func newTapeCache(budgetBytes int64) *tapeCache {
-	return &tapeCache{
-		budget: budgetBytes,
-		order:  list.New(),
-		byKey:  make(map[trace.Digest]*list.Element),
-	}
+func newLRU[K comparable, V any](budget int64, cost func(V) int64) *lru[K, V] {
+	return &lru[K, V]{budget: budget, cost: cost, order: list.New(), byKey: make(map[K]*list.Element)}
 }
 
-// get returns the decoded tape and marks it most recently used.
-func (c *tapeCache) get(key trace.Digest) ([]trace.Event, bool) {
+// get returns the value stored under key and marks it most recently
+// used.
+func (c *lru[K, V]) get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*tapeEntry).events, true
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
-// put stores a decoded tape, evicting LRU tapes to fit the budget. A
-// tape larger than the whole budget is still stored alone — refusing
-// it would make the one trace a client just uploaded unservable.
-func (c *tapeCache) put(key trace.Digest, events []trace.Event) {
+// put stores val under key, evicting least-recently-used entries to fit
+// the budget. An entry costlier than the whole budget is still stored
+// alone: refusing it would make the one trace a client just uploaded
+// unservable. A key already present keeps its first value and is only
+// refreshed: both caches are keyed by content, so a second value for a
+// key is the same content (a digest names its bytes, and evaluation is
+// deterministic), and an in-flight replay never has its tape swapped
+// underneath it.
+func (c *lru[K, V]) put(key K, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		c.order.MoveToFront(el)
-		return // same digest = same content; nothing to update
+		return
 	}
-	e := &tapeEntry{key: key, events: events, cost: tapeCost(events)}
+	e := &lruEntry[K, V]{key: key, val: val, cost: c.cost(val)}
 	c.byKey[key] = c.order.PushFront(e)
 	c.used += e.cost
 	for c.used > c.budget && c.order.Len() > 1 {
-		c.evictOldest()
+		old := c.order.Remove(c.order.Back()).(*lruEntry[K, V])
+		delete(c.byKey, old.key)
+		c.used -= old.cost
 	}
 }
 
-func (c *tapeCache) evictOldest() {
-	el := c.order.Back()
-	if el == nil {
-		return
-	}
-	e := el.Value.(*tapeEntry)
-	c.order.Remove(el)
-	delete(c.byKey, e.key)
-	c.used -= e.cost
-}
-
-// stats reports current occupancy.
-func (c *tapeCache) stats() (traces int, bytes int64) {
+// stats reports current occupancy: the entry count and their summed
+// cost.
+func (c *lru[K, V]) stats() (entries int, used int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len(), c.used
-}
-
-// memoCache is the bounded LRU memo table. Values are opaque
-// marshaled response payloads: re-serving the stored bytes verbatim
-// is what makes a warm hit trivially byte-identical to the cold run
-// that populated it.
-type memoCache struct {
-	mu      sync.Mutex
-	entries int
-	order   *list.List // values are *memoEntry
-	byKey   map[string]*list.Element
-}
-
-type memoEntry struct {
-	key     string
-	payload []byte
-}
-
-func newMemoCache(entries int) *memoCache {
-	return &memoCache{
-		entries: entries,
-		order:   list.New(),
-		byKey:   make(map[string]*list.Element),
-	}
-}
-
-func (c *memoCache) get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*memoEntry).payload, true
-}
-
-func (c *memoCache) put(key string, payload []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		// Deterministic evaluation: a re-computed payload for the same
-		// key is the same bytes. Keep the original, refresh recency.
-		c.order.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.order.PushFront(&memoEntry{key: key, payload: payload})
-	for c.order.Len() > c.entries {
-		el := c.order.Back()
-		e := el.Value.(*memoEntry)
-		c.order.Remove(el)
-		delete(c.byKey, e.key)
-	}
-}
-
-func (c *memoCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
 }

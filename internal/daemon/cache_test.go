@@ -90,23 +90,23 @@ func TestTapeCachePutSameDigestKeepsEntry(t *testing.T) {
 
 func TestMemoCacheEvictionAndDuplicates(t *testing.T) {
 	c := newMemoCache(2)
-	c.put("a", []byte("A1"))
-	c.put("b", []byte("B"))
+	c.put("a", evalPayload{Telemetry: "A1"})
+	c.put("b", evalPayload{Telemetry: "B"})
 	// Duplicate put must keep the original bytes (determinism: same
 	// key, same payload — the first answer is THE answer).
-	c.put("a", []byte("A2"))
-	if got, _ := c.get("a"); string(got) != "A1" {
-		t.Fatalf("memo duplicate put replaced payload: %q", got)
+	c.put("a", evalPayload{Telemetry: "A2"})
+	if got, _ := c.get("a"); got.Telemetry != "A1" {
+		t.Fatalf("memo duplicate put replaced payload: %q", got.Telemetry)
 	}
 	// "a" was just refreshed; inserting "c" evicts "b".
-	c.put("c", []byte("C"))
+	c.put("c", evalPayload{Telemetry: "C"})
 	if _, ok := c.get("b"); ok {
 		t.Fatalf("LRU memo entry survived eviction")
 	}
 	if _, ok := c.get("a"); !ok {
 		t.Fatalf("recently used memo entry evicted")
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	if n, _ := c.stats(); n != 2 {
+		t.Fatalf("len = %d, want 2", n)
 	}
 }

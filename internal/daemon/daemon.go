@@ -64,8 +64,8 @@ func (c Config) withDefaults() Config {
 // Handler on a server of your own), stop with Shutdown.
 type Server struct {
 	cfg   Config
-	tapes *tapeCache
-	memo  *memoCache
+	tapes *lru[trace.Digest, []trace.Event]
+	memo  *lru[string, evalPayload]
 	met   *metrics
 
 	slots   chan struct{} // worker slots; a send acquires
@@ -154,7 +154,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 	snap.Workers = s.cfg.Workers
 	snap.QueueDepth = s.cfg.QueueDepth
 	snap.TapeCacheTraces, snap.TapeCacheBytes = s.tapes.stats()
-	snap.MemoEntries = s.memo.len()
+	snap.MemoEntries, _ = s.memo.stats()
 	return snap
 }
 
@@ -231,8 +231,6 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.met.failedOne()
 		switch {
-		case isBadRequest(err):
-			s.writeError(w, http.StatusBadRequest, err)
 		case isUnknownTrace(err):
 			s.writeError(w, http.StatusNotFound, err)
 		case isDeadline(err):
@@ -316,14 +314,9 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writePayload assembles an EvalResponse around the memoized payload
-// without re-marshaling the result bytes.
-func (s *Server) writePayload(w http.ResponseWriter, source string, serviceMs float64, payload []byte) {
-	var p evalPayload
-	if err := json.Unmarshal(payload, &p); err != nil {
-		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("corrupt memo payload: %w", err))
-		return
-	}
+// writePayload assembles an EvalResponse around the payload without
+// re-marshaling the result bytes.
+func (s *Server) writePayload(w http.ResponseWriter, source string, serviceMs float64, p evalPayload) {
 	s.writeJSON(w, http.StatusOK, EvalResponse{
 		Source:    source,
 		ServiceMs: serviceMs,
@@ -334,11 +327,6 @@ func (s *Server) writePayload(w http.ResponseWriter, source string, serviceMs fl
 
 func msSince(start time.Time) float64 {
 	return float64(time.Since(start)) / float64(time.Millisecond)
-}
-
-func isBadRequest(err error) bool {
-	var br *errBadRequest
-	return errors.As(err, &br)
 }
 
 func isUnknownTrace(err error) bool {

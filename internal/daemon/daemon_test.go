@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -36,10 +37,7 @@ func directEval(t *testing.T, req EvalRequest) (*dtbgc.Result, string) {
 		tw = dtbgc.NewTelemetryWriter(&telBuf)
 		probe = tw
 	}
-	cfg, err := req.config(probe)
-	if err != nil {
-		t.Fatalf("config: %v", err)
-	}
+	cfg := req.config(probe)
 	var results []*sim.Result
 	if req.TraceDigest != "" {
 		t.Fatalf("directEval drives workloads; replay traces inline")
@@ -229,16 +227,35 @@ func TestUploadRejectsTraceDefects(t *testing.T) {
 	}
 }
 
+// TestUploadRejectsWideAllocation: a two-event upload whose one
+// allocation moves the clock past the birth-bucket span is refused
+// with 422 and the bucket error, without the upload check allocating
+// an array that reaches it.
+func TestUploadRejectsWideAllocation(t *testing.T) {
+	_, c := newTestDaemon(t, Config{Workers: 1})
+	var enc bytes.Buffer
+	if err := dtbgc.WriteTrace(&enc, []trace.Event{trace.Alloc(1, 1<<40, 0), trace.Free(1, 1)}); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.UploadTrace(context.Background(), &enc)
+	runtime.ReadMemStats(&after)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusUnprocessableEntity || !strings.Contains(se.Message, "birth bucket") {
+		t.Fatalf("upload error = %v, want HTTP 422 with the birth-bucket error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Fatalf("upload allocated %d bytes", grew)
+	}
+}
+
 func mustConfig(t *testing.T, req EvalRequest) sim.Config {
 	t.Helper()
 	if err := req.normalize(); err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
-	cfg, err := req.config(nil)
-	if err != nil {
-		t.Fatalf("config: %v", err)
-	}
-	return cfg
+	return req.config(nil)
 }
 
 // TestEvalConcurrentBitIdentity hammers the daemon with distinct
@@ -397,6 +414,24 @@ func TestEvalDeadline504(t *testing.T) {
 	}
 }
 
+// TestEvalClientGone499: a replay whose client has gone away stops at
+// its first batch and answers 499, counted as a failure and not
+// memoized.
+func TestEvalClientGone499(t *testing.T) {
+	s := NewServer(Config{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	body := strings.NewReader(`{"workload":"CFRAC","scale":0.1,"policy":"full"}`)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/eval", body).WithContext(ctx))
+	if rec.Code != statusClientGone {
+		t.Fatalf("eval with its client gone: HTTP %d, want %d: %s", rec.Code, statusClientGone, rec.Body)
+	}
+	if m := s.Metrics(); m.Failed != 1 || m.MemoEntries != 0 {
+		t.Fatalf("metrics after a cancelled eval: %+v", m)
+	}
+}
+
 // TestShutdownDrains pins graceful termination: Shutdown closes the
 // listener but waits for the queued evaluation to finish, and the
 // client still receives its full 200 response.
@@ -468,6 +503,9 @@ func TestEvalBadRequests(t *testing.T) {
 		{Workload: "CFRAC", Policy: "full", Scale: -1},
 		{Workload: "CFRAC", Policy: "full", PageFrames: -1},
 		{Workload: "CFRAC", Policy: "full", DeadlineMs: -5},
+		// Pauses past the float range: 500 "json: unsupported value".
+		{Workload: "CFRAC", Scale: 0.02, Policy: "full", TriggerBytes: 16384, Machine: &MachineSpec{MIPS: 10, TraceBytesPer: 5e-324}},
+		{Workload: "CFRAC", Scale: 0.02, Policy: "full", Machine: &MachineSpec{MIPS: 1e300, TraceBytesPer: 500 * 1024}},
 	}
 	for i, req := range cases {
 		_, err := c.Eval(context.Background(), &req)
@@ -522,6 +560,38 @@ func TestMemoKeyDistinguishesKnobs(t *testing.T) {
 	}
 	if r.memoKey() != baseKey {
 		t.Errorf("DeadlineMs changed the memo key; it is a serving knob, not a result knob")
+	}
+}
+
+// TestMemoKeyCanonical: spellings of one evaluation normalize to one
+// memo key — policy case, spaces and byte-count units, defaults
+// written out or left off, and workload case or alias.
+func TestMemoKeyCanonical(t *testing.T) {
+	policy := func(r *EvalRequest, s string) { r.Workload, r.Policy = "CFRAC", s }
+	workload := func(r *EvalRequest, s string) { r.Workload, r.Policy = s, "full" }
+	groups := []struct {
+		set       func(*EvalRequest, string)
+		spellings []string
+	}{
+		{policy, []string{"dtbfm:50k", "dtbfm:51200", "DTBFM:50k", " dtbfm:50k", "dtbfm:50K"}},
+		{policy, []string{"bandit:eps=0.1", "bandit:eps=0.10,arms=8"}},
+		{policy, []string{"grad", "grad:rate=0.05"}},
+		{workload, []string{"GHOST(1)", "ghost(1)", "ghost1"}},
+	}
+	for _, g := range groups {
+		var first string
+		for i, sp := range g.spellings {
+			var r EvalRequest
+			g.set(&r, sp)
+			if err := r.normalize(); err != nil {
+				t.Fatalf("normalize %q: %v", sp, err)
+			}
+			if key := r.memoKey(); i == 0 {
+				first = key
+			} else if key != first {
+				t.Errorf("%q keys %s, but %q keys %s", sp, key, g.spellings[0], first)
+			}
+		}
 	}
 }
 

@@ -1,19 +1,21 @@
 // Package daemon is the simulation-as-a-service layer: a long-running
 // HTTP/JSON server (dtbd) that accepts policy-evaluation requests —
 // a workload or an uploaded trace × a policy spec × a machine model —
-// schedules them on the engine's bounded cancellable pool, and
-// returns results bit-identical to the CLI path over the same inputs.
+// replays them through the engine on a bounded set of admission
+// slots, and returns results bit-identical to the CLI path over the
+// same inputs.
 //
 // The serving economics rest on two content-addressed caches (see
 // cache.go): uploaded traces are stream-hashed at decode time into a
-// trace.Digest that keys a decoded-tape LRU, and every complete
-// evaluation key memoizes its marshaled response, so one warm process
-// answers a repeated request in a table lookup instead of a cold CLI
-// start that re-decodes and re-simulates everything. Admission
-// control (a bounded worker pool plus a bounded wait queue, 429 +
-// Retry-After on overflow) keeps thousands of concurrent clients
-// degrading gracefully instead of piling unbounded replays onto the
-// box; SIGTERM drains in-flight evaluations before exit.
+// trace.Digest that keys a decoded-tape LRU, and every normalized
+// request keys a memo of the payload served for it, so one warm
+// process answers a repeated request in a table lookup instead of a
+// cold CLI start that re-decodes and re-simulates everything.
+// Admission control (a bounded number of worker slots plus a bounded
+// wait queue, 429 + Retry-After on overflow) keeps thousands of
+// concurrent clients degrading gracefully instead of piling unbounded
+// replays onto the box; SIGTERM drains in-flight evaluations before
+// exit.
 //
 // Everything here observes the repo's determinism discipline except
 // wall-clock metrics: serving latencies are real time by nature, and
@@ -27,10 +29,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
+	"math"
 	"time"
 
 	dtbgc "github.com/dtbgc/dtbgc"
+	"github.com/dtbgc/dtbgc/internal/core"
 	"github.com/dtbgc/dtbgc/internal/engine"
 	"github.com/dtbgc/dtbgc/internal/sim"
 	"github.com/dtbgc/dtbgc/internal/trace"
@@ -46,9 +49,10 @@ type MachineSpec struct {
 // Workload/TraceDigest selects the event source, and at most one of
 // Policy/Baseline selects the collector (an empty Baseline means
 // Policy, mirroring dtbsim's flags). Zero-valued knobs take the same
-// defaults the CLIs use, and the normalized form — not the raw
-// request — is the memo key, so "-trigger 1048576" and the default
-// hit the same entry.
+// defaults the CLIs use. The server normalizes a request into one
+// canonical spelling before anything else reads it, and the JSON of
+// the normalized request is the memo key, so "-trigger 1048576" and
+// the default, or "dtbfm:50k" and "DTBFM:51200", hit the same entry.
 type EvalRequest struct {
 	// Workload names a paper workload ("CFRAC", "GHOST(1)", ...);
 	// Scale shrinks it (0 = 1.0). Scale conflicts with TraceDigest for
@@ -87,14 +91,23 @@ type EvalRequest struct {
 	// 504. It is a serving knob, not a result-affecting one, so it is
 	// NOT part of the memo key.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
+
+	// What normalize parsed: the policy (nil for a baseline), the
+	// digest of a trace request and the scaled profile of a workload
+	// request. Being unexported, they stay out of the wire form and
+	// the memo key.
+	policy  dtbgc.Policy
+	digest  trace.Digest
+	profile dtbgc.Workload
 }
 
 // evalPayload is the memoized portion of an eval response: everything
-// deterministic for the key. The memo stores these marshaled bytes
-// verbatim, so a warm hit re-serves byte-identical JSON.
+// deterministic for the key. The memo keeps the payload a cold
+// evaluation served, the result already marshaled, so a warm hit
+// re-serves byte-identical JSON.
 type evalPayload struct {
-	Result    json.RawMessage `json:"result"`
-	Telemetry string          `json:"telemetry,omitempty"`
+	Result    json.RawMessage
+	Telemetry string
 }
 
 // EvalResponse is the POST /v1/eval payload.
@@ -120,120 +133,105 @@ func (e *ErrUnknownTrace) Error() string {
 	return fmt.Sprintf("daemon: unknown trace %s: upload it (POST /v1/traces) and retry", e.Digest)
 }
 
-// errBadRequest marks a request the server refuses on sight (HTTP
-// 400), as opposed to one that failed while evaluating.
-type errBadRequest struct{ err error }
-
-func (e *errBadRequest) Error() string { return e.err.Error() }
-func (e *errBadRequest) Unwrap() error { return e.err }
-
-func badRequestf(format string, args ...any) error {
-	return &errBadRequest{err: fmt.Errorf(format, args...)}
-}
-
-// normalize validates the request and applies the CLI-equivalent
-// defaults in place, so the memo key is canonical.
+// normalize validates the request and rewrites it in place into its
+// canonical form; it is the only place a request is parsed, and any
+// error it returns is the client's (HTTP 400). The CLI defaults are
+// filled in, Policy becomes core.PolicySpec's spelling of the parsed
+// policy, Workload the profile's own Name and TraceDigest lowercase
+// hex. The parsed policy, digest and scaled profile are kept for
+// config and evaluate. Two spellings of one evaluation normalize to
+// equal requests, and so to one memo key.
 func (r *EvalRequest) normalize() error {
 	if (r.Workload == "") == (r.TraceDigest == "") {
-		return badRequestf("exactly one of workload or trace must be set")
+		return errors.New("exactly one of workload or trace must be set")
 	}
 	if r.Policy != "" && r.Baseline != "" {
-		return badRequestf("policy %q conflicts with baseline %q: a run is driven by one or the other", r.Policy, r.Baseline)
+		return fmt.Errorf("policy %q conflicts with baseline %q: a run is driven by one or the other", r.Policy, r.Baseline)
 	}
 	switch r.Baseline {
 	case "", "nogc", "live":
 	default:
-		return badRequestf("unknown baseline %q (nogc or live)", r.Baseline)
+		return fmt.Errorf("unknown baseline %q (nogc or live)", r.Baseline)
 	}
 	if r.Baseline == "" {
-		if _, err := dtbgc.ParsePolicy(r.Policy); err != nil {
-			return &errBadRequest{err: err}
+		p, err := dtbgc.ParsePolicy(r.Policy)
+		if err != nil {
+			return err
 		}
+		spec, err := core.PolicySpec(p)
+		if err != nil {
+			return err
+		}
+		r.Policy, r.policy = spec, p
 	}
 	if r.TraceDigest != "" {
 		if r.Scale != 0 { //dtbvet:ignore floatexact -- exact zero is the unset-option sentinel; no arithmetic feeds it
-			return badRequestf("scale applies to generated workloads and cannot rescale a recorded trace")
+			return errors.New("scale applies to generated workloads and cannot rescale a recorded trace")
 		}
 		d, err := trace.ParseDigest(r.TraceDigest)
 		if err != nil {
-			return &errBadRequest{err: err}
+			return err
 		}
-		r.TraceDigest = d.String() // canonical lowercase hex
+		r.TraceDigest, r.digest = d.String(), d
 	} else {
-		if _, err := dtbgc.LookupWorkload(r.Workload); err != nil {
-			return &errBadRequest{err: err}
+		w, err := dtbgc.LookupWorkload(r.Workload)
+		if err != nil {
+			return err
 		}
 		if r.Scale == 0 { //dtbvet:ignore floatexact -- exact zero is the unset-option sentinel; no arithmetic feeds it
 			r.Scale = 1
 		}
-		if r.Scale < 0 {
-			return badRequestf("scale %v must be positive", r.Scale)
+		if !(r.Scale > 0) || math.IsInf(r.Scale, 1) {
+			return fmt.Errorf("scale %v must be positive and finite", r.Scale)
 		}
+		r.Workload, r.profile = w.Name, w.Scale(r.Scale)
 	}
 	if r.Machine == nil {
 		m := dtbgc.PaperMachine()
 		r.Machine = &MachineSpec{MIPS: m.MIPS, TraceBytesPer: m.TraceBytesPer}
 	}
 	if err := (dtbgc.Machine{MIPS: r.Machine.MIPS, TraceBytesPer: r.Machine.TraceBytesPer}).Validate(); err != nil {
-		return &errBadRequest{err: err}
+		return err
 	}
 	if r.TriggerBytes == 0 {
 		r.TriggerBytes = 1 << 20 // the simulator's own default
 	}
 	if r.PageFrames < 0 {
-		return badRequestf("page_frames %d cannot be negative", r.PageFrames)
+		return fmt.Errorf("page_frames %d cannot be negative", r.PageFrames)
 	}
 	if r.PageFrames > 0 && r.PageBytes == 0 {
 		r.PageBytes = 4096
 	}
 	if r.DeadlineMs < 0 {
-		return badRequestf("deadline_ms %d cannot be negative", r.DeadlineMs)
+		return fmt.Errorf("deadline_ms %d cannot be negative", r.DeadlineMs)
 	}
 	return nil
 }
 
-// memoKey is the canonical serialization of everything that can
-// change the response bytes. Field order is fixed by the struct, and
-// floats render shortest-round-trip, so equal requests always collide
-// and unequal ones never do.
+// memoKey is the JSON encoding of the normalized request with its one
+// serving knob, DeadlineMs, cleared. The struct fixes the field order
+// and floats encode shortest-round-trip, so equal requests always
+// collide and unequal ones never do. A field added to EvalRequest
+// joins the key unless it is cleared here, so forgetting one costs a
+// memo miss, never a wrong hit.
 func (r *EvalRequest) memoKey() string {
-	var b bytes.Buffer
-	b.WriteString("w=")
-	b.WriteString(r.Workload)
-	b.WriteString(";s=")
-	b.WriteString(strconv.FormatFloat(r.Scale, 'g', -1, 64))
-	b.WriteString(";t=")
-	b.WriteString(r.TraceDigest)
-	b.WriteString(";p=")
-	b.WriteString(r.Policy)
-	b.WriteString(";b=")
-	b.WriteString(r.Baseline)
-	b.WriteString(";m=")
-	b.WriteString(strconv.FormatFloat(r.Machine.MIPS, 'g', -1, 64))
-	b.WriteString(",")
-	b.WriteString(strconv.FormatFloat(r.Machine.TraceBytesPer, 'g', -1, 64))
-	b.WriteString(";tr=")
-	b.WriteString(strconv.FormatUint(r.TriggerBytes, 10))
-	b.WriteString(";seed=")
-	b.WriteString(strconv.FormatUint(r.PolicySeed, 10))
-	b.WriteString(";opp=")
-	b.WriteString(strconv.FormatBool(r.Opportunistic))
-	b.WriteString(";pf=")
-	b.WriteString(strconv.Itoa(r.PageFrames))
-	b.WriteString(";pb=")
-	b.WriteString(strconv.FormatUint(r.PageBytes, 10))
-	b.WriteString(";l=")
-	b.WriteString(strconv.Quote(r.Label))
-	b.WriteString(";tel=")
-	b.WriteString(strconv.FormatBool(r.Telemetry))
-	return b.String()
+	k := *r
+	k.DeadlineMs = 0
+	b, err := json.Marshal(&k)
+	if err != nil {
+		// normalize leaves only finite floats, which always encode.
+		panic("daemon: memo key of an unnormalized request: " + err.Error())
+	}
+	return string(b)
 }
 
 // config maps the normalized request onto the same simulator config
 // dtbsim's options build — the single place the daemon's and the CLI's
 // configuration can agree or drift, pinned by the bit-identity tests.
-func (r *EvalRequest) config(probe dtbgc.Probe) (sim.Config, error) {
+func (r *EvalRequest) config(probe dtbgc.Probe) sim.Config {
 	cfg := sim.Config{
+		Mode:          sim.ModePolicy,
+		Policy:        r.policy,
 		PolicySeed:    r.PolicySeed,
 		Machine:       sim.Machine{MIPS: r.Machine.MIPS, TraceBytesPer: r.Machine.TraceBytesPer},
 		TriggerBytes:  r.TriggerBytes,
@@ -248,27 +246,17 @@ func (r *EvalRequest) config(probe dtbgc.Probe) (sim.Config, error) {
 		cfg.Mode = sim.ModeNoGC
 	case "live":
 		cfg.Mode = sim.ModeLive
-	default:
-		p, err := dtbgc.ParsePolicy(r.Policy)
-		if err != nil {
-			return sim.Config{}, &errBadRequest{err: err}
-		}
-		cfg.Mode, cfg.Policy = sim.ModePolicy, p
 	}
-	return cfg, nil
+	return cfg
 }
 
-// evaluate runs one cold evaluation on the bounded pool and returns
-// the marshaled memo payload. The request must be normalized. The
-// caller holds a worker slot.
-//
-// The per-request deadline is created INSIDE the pool job: when it
-// expires, the job returns its own context.DeadlineExceeded while the
-// pool's context is still live — exactly the job-originated
-// cancellation the fixed engine.RunJobs classification surfaces. (On
-// the old pool code that expiry was swallowed and the daemon would
-// have served a nil result as success.)
-func (s *Server) evaluate(ctx context.Context, req *EvalRequest) (payload []byte, tapeHit bool, err error) {
+// evaluate replays one normalized request and returns the payload the
+// memo keeps, and whether it replayed a cached tape. The caller holds
+// an admission slot, which is what bounds concurrent replays. The
+// replay runs under the request's context, so a client that goes away
+// cancels it (context.Canceled), and under DeadlineMs when set, whose
+// expiry surfaces as context.DeadlineExceeded.
+func (s *Server) evaluate(ctx context.Context, req *EvalRequest) (payload evalPayload, tapeHit bool, err error) {
 	var telBuf bytes.Buffer
 	var tw *dtbgc.TelemetryWriter
 	var probe dtbgc.Probe
@@ -280,55 +268,39 @@ func (s *Server) evaluate(ctx context.Context, req *EvalRequest) (payload []byte
 		tw = dtbgc.NewTelemetryWriter(&telBuf)
 		probe = tw
 	}
-	cfg, err := req.config(probe)
-	if err != nil {
-		return nil, false, err
+	if req.DeadlineMs > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
+		defer cancel()
 	}
-
+	cfgs := []sim.Config{req.config(probe)}
 	var results []*sim.Result
-	job := func(jctx context.Context) error {
-		if req.DeadlineMs > 0 {
-			var cancel context.CancelFunc
-			jctx, cancel = context.WithTimeout(jctx, time.Duration(req.DeadlineMs)*time.Millisecond)
-			defer cancel()
+	if req.TraceDigest != "" {
+		events, ok := s.tapes.get(req.digest)
+		if !ok {
+			return evalPayload{}, false, &ErrUnknownTrace{Digest: req.TraceDigest}
 		}
-		var rerr error
-		if req.TraceDigest != "" {
-			d, derr := trace.ParseDigest(req.TraceDigest)
-			if derr != nil {
-				return derr
-			}
-			events, ok := s.tapes.get(d)
-			if !ok {
-				return &ErrUnknownTrace{Digest: req.TraceDigest}
-			}
-			tapeHit = true
-			results, rerr = engine.ReplayBatches(jctx, engine.SliceBatchSource(events), []sim.Config{cfg})
-			return rerr
-		}
-		w, lerr := dtbgc.LookupWorkload(req.Workload)
-		if lerr != nil {
-			return lerr
-		}
-		results, rerr = engine.Replay(jctx, engine.Source(w.Scale(req.Scale).GenerateTo), []sim.Config{cfg})
-		return rerr
+		tapeHit = true
+		results, err = engine.ReplayBatches(ctx, engine.SliceBatchSource(events), cfgs)
+	} else {
+		results, err = engine.Replay(ctx, engine.Source(req.profile.GenerateTo), cfgs)
 	}
-	if err := engine.RunJobs(ctx, 1, []engine.Job{job}); err != nil {
-		return nil, tapeHit, err
+	if err != nil {
+		return evalPayload{}, tapeHit, err
 	}
 	if tw != nil {
 		if werr := tw.Err(); werr != nil {
-			return nil, tapeHit, fmt.Errorf("capturing telemetry: %w", werr)
+			return evalPayload{}, tapeHit, fmt.Errorf("capturing telemetry: %w", werr)
 		}
 	}
 	raw, err := json.Marshal(results[0])
 	if err != nil {
-		return nil, tapeHit, err
+		return evalPayload{}, tapeHit, err
 	}
-	payload, err = json.Marshal(evalPayload{Result: raw, Telemetry: telBuf.String()})
-	return payload, tapeHit, err
+	return evalPayload{Result: raw, Telemetry: telBuf.String()}, tapeHit, nil
 }
 
-// isDeadline reports a job-originated evaluation timeout (as opposed
-// to the client going away, which cancels the request context).
+// isDeadline reports an evaluation that ran past DeadlineMs (as
+// opposed to the client going away, which cancels the request
+// context).
 func isDeadline(err error) bool { return errors.Is(err, context.DeadlineExceeded) }

@@ -1,0 +1,185 @@
+package daemon
+
+import (
+	"bytes"
+	"encoding/json"
+	"hash/crc32"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"testing"
+
+	dtbgc "github.com/dtbgc/dtbgc"
+	"github.com/dtbgc/dtbgc/internal/core"
+	"github.com/dtbgc/dtbgc/internal/trace"
+)
+
+// FuzzEvalRequest drives the request boundary with bodies decoded as
+// handleEval decodes them. normalize never panics; a normalized request
+// normalizes again to the same key; spellings of an accepted request
+// (policy case, spaces and byte-count units, workload case and alias,
+// digest case) share its key; and for a sample of accepted requests,
+// the request and its respelling replay on two fresh servers to
+// byte-identical payloads, neither answering 5xx.
+func FuzzEvalRequest(f *testing.F) {
+	events := dtbgc.WorkloadByName("GHOST(1)").Scale(0.005).MustGenerate()
+	var upload bytes.Buffer
+	if err := dtbgc.WriteTrace(&upload, events); err != nil {
+		f.Fatal(err)
+	}
+	d, err := trace.DigestEvents(events)
+	if err != nil {
+		f.Fatal(err)
+	}
+	digest := d.String()
+	for _, seed := range []string{
+		`{"workload":"CFRAC","scale":0.005,"policy":"dtbfm:50k"}`,
+		`{"workload":"ghost1","scale":0.005,"policy":" DTBFM:50K ","trigger_bytes":65536}`,
+		`{"trace":"` + digest + `","policy":"bandit:eps=0.1","policy_seed":3,"label":"x","telemetry":true}`,
+		`{"trace":"` + strings.ToUpper(digest) + `","policy":"fixed4","deadline_ms":1}`,
+		`{"workload":"SIS","scale":0.005,"baseline":"live","page_frames":16}`,
+		`{"workload":"ESPRESSO(1)","scale":0.005,"policy":"grad:trace=64k","opportunistic":true,"machine":{"mips":25,"trace_bytes_per_sec":8e6}}`,
+		`{"workload":"CFRAC","scale":0.02,"policy":"full","trigger_bytes":16384,"machine":{"mips":10,"trace_bytes_per_sec":5e-324}}`,
+		`{"workload":"GHOST(2)","baseline":"nogc","page_frames":4,"page_bytes":1024}`,
+		`{}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var raw EvalRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&raw); err != nil {
+			return
+		}
+		capCost(&raw)
+		norm := raw
+		if err := norm.normalize(); err != nil {
+			return
+		}
+		key := norm.memoKey()
+		again := norm
+		if err := again.normalize(); err != nil || again.memoKey() != key {
+			t.Fatalf("normalizing %s again: %v, key %s", key, err, again.memoKey())
+		}
+		variants := respell(raw, norm)
+		for _, v := range variants {
+			if err := v.normalize(); err != nil || v.memoKey() != key {
+				t.Fatalf("respelled as %q, %q, %q: %v, key %s; want key %s", v.Policy, v.Workload, v.TraceDigest, err, v.memoKey(), key)
+			}
+		}
+		if b, ok := norm.policy.(core.Bandit); crc32.ChecksumIEEE([]byte(key))%8 != 0 || (ok && b.Arms > 64) {
+			return // replay a sample, and no bandit whose arms alone cost more than the run
+		}
+		raw.DeadlineMs = 0 // a timeout is a 504 by design; the sample checks the answer
+		last := variants[len(variants)-1]
+		last.DeadlineMs = 0
+		code, got := replayFresh(t, upload.Bytes(), raw)
+		vcode, vgot := replayFresh(t, upload.Bytes(), last)
+		if code >= 500 || vcode >= 500 || code != vcode {
+			t.Fatalf("%s: HTTP %d, respelled HTTP %d", key, code, vcode)
+		}
+		if code == http.StatusOK && (!bytes.Equal(got.Result, vgot.Result) || got.Telemetry != vgot.Telemetry) {
+			t.Fatalf("%s: respelled request replayed to a different payload", key)
+		}
+	})
+}
+
+// capCost keeps one replay cheap: a fuzzed request may ask for an
+// unscaled workload, a scavenge every few bytes or a large resident
+// set. The caps live in the harness, not in normalize, which accepts
+// every request the daemon serves.
+func capCost(r *EvalRequest) {
+	if r.Workload != "" && (r.Scale == 0 || r.Scale > 0.005) { //dtbvet:ignore floatexact -- exact zero is the unset-option sentinel
+		r.Scale = 0.005
+	}
+	if r.TriggerBytes != 0 && r.TriggerBytes < 4096 {
+		r.TriggerBytes = 4096
+	}
+	r.PageFrames = min(r.PageFrames, 64)
+	if r.PageBytes != 0 && r.PageBytes < 512 {
+		r.PageBytes = 512
+	}
+}
+
+// respell returns raw with its policy, workload and digest spelled
+// differently from norm's canonical forms, one change per request,
+// and last a request with every change at once.
+func respell(raw, norm EvalRequest) []EvalRequest {
+	var out []EvalRequest
+	add := func(set func(*EvalRequest)) {
+		r := raw
+		set(&r)
+		out = append(out, r)
+	}
+	all := raw
+	if norm.Policy != "" {
+		units := unitSpellings(norm.Policy)
+		for _, s := range append(units, strings.ToUpper(norm.Policy), " "+norm.Policy+"\t") {
+			add(func(r *EvalRequest) { r.Policy = s })
+		}
+		all.Policy = " " + strings.ToUpper(units[len(units)-1]) + " "
+	}
+	if norm.Workload != "" {
+		alias := strings.NewReplacer("(", "", ")", "").Replace(norm.Workload)
+		for _, w := range []string{strings.ToLower(norm.Workload), " " + norm.Workload + " ", alias} {
+			add(func(r *EvalRequest) { r.Workload = w })
+		}
+		all.Workload = " " + strings.ToLower(alias)
+	}
+	if norm.TraceDigest != "" {
+		add(func(r *EvalRequest) { r.TraceDigest = strings.ToUpper(norm.TraceDigest) })
+		all.TraceDigest = strings.ToUpper(norm.TraceDigest)
+	}
+	return append(out, all)
+}
+
+// unitSpellings returns a canonical spec whose trailing byte count
+// (feedmed, dtbfm, dtbmem, grad's trace) is respelled in each binary
+// unit that divides it, and the spec itself first.
+func unitSpellings(spec string) []string {
+	out := []string{spec}
+	i := strings.LastIndexAny(spec, ":=")
+	n, err := strconv.ParseUint(spec[i+1:], 10, 64)
+	byteCount := strings.HasPrefix(spec, "feedmed:") || strings.HasPrefix(spec, "dtbfm:") ||
+		strings.HasPrefix(spec, "dtbmem:") || strings.HasPrefix(spec, "grad:")
+	if err != nil || !byteCount || n == 0 {
+		return out
+	}
+	for _, u := range []struct {
+		suffix string
+		shift  uint
+	}{{"k", 10}, {"K", 10}, {"m", 20}, {"M", 20}} {
+		if n%(1<<u.shift) == 0 {
+			out = append(out, spec[:i+1]+strconv.FormatUint(n>>u.shift, 10)+u.suffix)
+		}
+	}
+	return out
+}
+
+// replayFresh serves req on a new server, holding the uploaded trace
+// if req names one, so it replays instead of hitting a memo, and
+// returns the status and the decoded response.
+func replayFresh(t *testing.T, upload []byte, req EvalRequest) (int, EvalResponse) {
+	t.Helper()
+	h := NewServer(Config{Workers: 1}).Handler()
+	rec := httptest.NewRecorder()
+	if req.TraceDigest != "" {
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/traces", bytes.NewReader(upload)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("upload: HTTP %d: %s", rec.Code, rec.Body)
+		}
+		rec = httptest.NewRecorder()
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/eval", bytes.NewReader(body)))
+	var resp EvalResponse
+	if rec.Code == http.StatusOK {
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("decoding response: %v", err)
+		}
+	}
+	return rec.Code, resp
+}

@@ -61,15 +61,20 @@ func (m Machine) isZero() bool {
 // Validate reports why the machine model is unusable, or nil. Both
 // rates divide measurements (Seconds, PauseSeconds), so a zero,
 // negative or non-finite rate would silently turn every derived
-// metric into Inf or NaN; the zero Machine is exempt because
-// Config.withDefaults replaces it with PaperMachine before any
-// division happens.
+// metric into Inf or NaN, and so would a rate small enough for one
+// quotient to overflow. Validate keeps both rates between 1 and 1e15
+// per second (MIPS between 1e-6 and 1e9): then any uint64 count of
+// bytes or instructions (below 1.9e19) gives a pause and an
+// ExecSeconds below 1.9e19 s and an OverheadPct below 1.9e36, and sums
+// of pauses stay far inside the float range too. The zero Machine is
+// exempt because Config.withDefaults replaces it with PaperMachine
+// before any division happens.
 func (m Machine) Validate() error {
-	if !(m.MIPS > 0) || math.IsInf(m.MIPS, 0) {
-		return fmt.Errorf("sim: Machine.MIPS must be positive and finite, got %v", m.MIPS)
+	if !(m.MIPS >= 1e-6 && m.MIPS <= 1e9) {
+		return fmt.Errorf("sim: Machine.MIPS must be between 1e-6 and 1e9 (1 to 1e15 instructions per second), got %v", m.MIPS)
 	}
-	if !(m.TraceBytesPer > 0) || math.IsInf(m.TraceBytesPer, 0) {
-		return fmt.Errorf("sim: Machine.TraceBytesPer must be positive and finite, got %v", m.TraceBytesPer)
+	if !(m.TraceBytesPer >= 1 && m.TraceBytesPer <= 1e15) {
+		return fmt.Errorf("sim: Machine.TraceBytesPer must be between 1 and 1e15 bytes per second, got %v", m.TraceBytesPer)
 	}
 	return nil
 }
@@ -265,6 +270,13 @@ func (r *Result) TenuredGarbageMeanBytes() float64 { return r.MemMeanBytes - r.L
 // runs (a 100 MB trace is ~1600 buckets).
 const birthBucketShift = 16
 
+// maxBirthBuckets caps the span of birth buckets a tape holds at once
+// (see tape.maxBuckets): the liveByBirth array reaches at most 8 MiB,
+// and one allocation can no longer grow it to gigabytes. 2^20 buckets
+// span 64 GiB of allocation clock, ~630 times the largest paper trace
+// (ESPRESSO(2), 104 MB, ~1,660 buckets) even with compaction off.
+const maxBirthBuckets = 1 << 20
+
 // birthBucket maps a clock reading to its birth-epoch bucket. The
 // bucket index stays uint64 end to end: converting to int here would
 // silently truncate on 32-bit platforms for clocks past 256 GB.
@@ -374,7 +386,9 @@ type tape struct {
 	// sets the package defaults. ordLimit caps the ordinals retained
 	// at once (the int32 ordinal encoding's real limit — total objects
 	// are unbounded once compaction slides the base); maxBuckets caps
-	// the bucket span so the relative index always fits an int.
+	// the bucket span, so the relative index always fits an int and
+	// liveByBirth stays small however far one allocation moves the
+	// clock.
 	checkEvery     int
 	minRetire      int
 	minTrimBuckets int
@@ -399,7 +413,7 @@ func newTape() *tape {
 		minRetire:      compactMinRetire,
 		minTrimBuckets: compactMinTrimBuckets,
 		ordLimit:       math.MaxInt32,
-		maxBuckets:     1 << 31,
+		maxBuckets:     maxBirthBuckets,
 	}
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/dtbgc/dtbgc/internal/core"
@@ -20,14 +22,28 @@ func TestMachineValidate(t *testing.T) {
 		{MIPS: 10, TraceBytesPer: math.Inf(1)}, // infinite rate
 		{MIPS: math.NaN(), TraceBytesPer: 1},   // NaN MIPS
 		{MIPS: 10, TraceBytesPer: math.NaN()},  // NaN rate
+		{MIPS: 10, TraceBytesPer: 5e-324},      // pauses overflow to +Inf
+		{MIPS: 1e-300, TraceBytesPer: 1},       // ExecSeconds overflows
+		{MIPS: 1e300, TraceBytesPer: 1},        // OverheadPct overflows
+		{MIPS: 10, TraceBytesPer: 1e300},       // rate past the bound
 	}
 	for _, m := range bad {
 		if m.Validate() == nil {
 			t.Errorf("Machine %+v accepted", m)
 		}
 	}
-	if err := PaperMachine().Validate(); err != nil {
-		t.Errorf("paper machine rejected: %v", err)
+	// At the bounds, the largest counts still give finite figures.
+	for _, m := range []Machine{PaperMachine(), {MIPS: 1e-6, TraceBytesPer: 1}, {MIPS: 1e9, TraceBytesPer: 1}, {MIPS: 1e9, TraceBytesPer: 1e15}} {
+		if err := m.Validate(); err != nil {
+			t.Errorf("Machine %+v rejected: %v", m, err)
+		}
+		exec, pause := m.Seconds(math.MaxUint64), m.PauseSeconds(math.MaxUint64)
+		overhead := 100 * pause / m.Seconds(1)
+		for _, v := range []float64{exec, pause, overhead, float64(math.MaxInt64) * pause} {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				t.Errorf("Machine %+v: exec %v, pause %v, overhead %v, sum of 2^63 pauses %v", m, exec, pause, overhead, float64(math.MaxInt64)*pause)
+			}
+		}
 	}
 }
 
@@ -160,5 +176,48 @@ func TestRunStartCarriesMachine(t *testing.T) {
 	}
 	if start.Machine != PaperMachine() {
 		t.Fatalf("RunStart.Machine = %+v, want the defaulted paper machine", start.Machine)
+	}
+}
+
+// TestBirthBucketSpanBounded: an allocation that moves the clock past
+// the birth-bucket span is rejected, by Check and Run alike, before
+// liveByBirth grows to reach it, while the widest accepted span costs
+// an array of at most 8 MiB.
+func TestBirthBucketSpanBounded(t *testing.T) {
+	cases := []struct {
+		size   uint64
+		reject bool
+	}{
+		{1 << 40, true},                       // bucket 2^24
+		{1<<(20+birthBucketShift) - 1, false}, // the last bucket in the span
+	}
+	for _, c := range cases {
+		events := []trace.Event{trace.Alloc(1, c.size, 0), trace.Free(1, 1)}
+		runs := []struct {
+			name string
+			run  func() error
+		}{
+			{"Check", func() error { return Check(events) }},
+			{"Run", func() error {
+				_, err := Run(events, Config{Policy: core.Full{}})
+				return err
+			}},
+		}
+		for _, r := range runs {
+			name := r.name
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := r.run()
+			runtime.ReadMemStats(&after)
+			if c.reject && (err == nil || !strings.Contains(err.Error(), "birth bucket")) {
+				t.Errorf("%s, %d-byte alloc: error %v, want the birth-bucket error", name, c.size, err)
+			}
+			if !c.reject && err != nil {
+				t.Errorf("%s, %d-byte alloc: %v", name, c.size, err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+				t.Errorf("%s, %d-byte alloc: allocated %d bytes", name, c.size, grew)
+			}
+		}
 	}
 }

@@ -53,9 +53,10 @@ func (w *Writer) header() error {
 	return err
 }
 
-// Write encodes one event. An event it rejects (a clock regression or
-// an unknown kind) writes nothing and leaves the clock and Count as
-// they were, so the events written around it still form a valid trace.
+// Write encodes one event. An event it rejects (a clock regression, an
+// unknown kind, or a mark label longer than the decoders accept)
+// writes nothing and leaves the clock and Count as they were, so the
+// events written around it still form a valid trace.
 func (w *Writer) Write(e Event) error {
 	if e.Instr < w.lastInstr {
 		return fmt.Errorf("trace: Writer clock regressed %d -> %d", w.lastInstr, e.Instr)
@@ -72,6 +73,9 @@ func (w *Writer) Write(e Event) error {
 		rec = binary.AppendUvarint(rec, uint64(e.Field))
 		rec = binary.AppendUvarint(rec, uint64(e.Target))
 	case KindMark:
+		if len(e.Label) > maxLabel {
+			return labelLengthError(uint64(len(e.Label)))
+		}
 		rec = binary.AppendUvarint(rec, uint64(len(e.Label)))
 	default:
 		return fmt.Errorf("trace: cannot encode unknown kind %d", e.Kind)
@@ -239,7 +243,7 @@ func decodeRecord(e *Event, b []byte, lastInstr uint64) (int, error) {
 	case KindMark:
 		return decodeMark(e, b, lastInstr)
 	default:
-		return 0, fmt.Errorf("trace: unknown event kind byte %d", b[0])
+		return 0, unknownKindError(b[0])
 	}
 	pos := 1
 	for i := range nf {
@@ -268,6 +272,23 @@ func decodeRecord(e *Event, b []byte, lastInstr uint64) (int, error) {
 	return pos, nil
 }
 
+// unknownKindError reports a record whose kind byte names no event
+// kind. Being a byte, it converts to an error without allocating, so
+// the recovering reader, which meets one at nearly every byte it
+// resyncs past, allocates nothing there; the text is built only when
+// printed.
+type unknownKindError byte
+
+func (e unknownKindError) Error() string {
+	return "trace: unknown event kind byte " + strconv.Itoa(int(e))
+}
+
+// labelLengthError reports a mark label longer than maxLabel, from the
+// decoders and from Writer.Write alike.
+func labelLengthError(n uint64) error {
+	return fmt.Errorf("trace: mark label length %d exceeds limit", n)
+}
+
 // decodeMark is decodeRecord for a mark: length, label, clock delta.
 // The length is checked against maxLabel before the label is awaited.
 func decodeMark(e *Event, b []byte, lastInstr uint64) (int, error) {
@@ -277,7 +298,7 @@ func decodeMark(e *Event, b []byte, lastInstr uint64) (int, error) {
 		return 0, varintErr(b[pos:], n)
 	}
 	if size > maxLabel {
-		return 0, fmt.Errorf("trace: mark label length %d exceeds limit", size)
+		return 0, labelLengthError(size)
 	}
 	pos += n
 	if uint64(len(b)-pos) < size {

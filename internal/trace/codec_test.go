@@ -495,3 +495,55 @@ func TestDecodeAllocsIndependentOfLength(t *testing.T) {
 		}
 	}
 }
+
+// TestWriterLabelLimit: Write refuses a mark label longer than the
+// decoders accept, with their error text and without touching the
+// stream, and a label at the limit round-trips.
+func TestWriterLabelLimit(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	first, atLimit := Alloc(1, 32, 10), Mark(strings.Repeat("x", maxLabel), 20)
+	if err := w.Write(first); err != nil {
+		t.Fatal(err)
+	}
+	err := w.Write(Mark(strings.Repeat("x", maxLabel+1), 20))
+	if want := "trace: mark label length 1048577 exceeds limit"; err == nil || err.Error() != want {
+		t.Fatalf("Write of an over-long label = %v, want %q", err, want)
+	}
+	if err := w.Write(atLimit); err != nil {
+		t.Fatalf("Write of a label at the limit: %v", err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if want := encode(t, []Event{first, atLimit}); !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("the rejected mark changed the stream")
+	}
+	got, err := NewReader(&buf).ReadAll()
+	if err != nil || !reflect.DeepEqual(got, []Event{first, atLimit}) {
+		t.Fatalf("decoding the stream: %d events, %v", len(got), err)
+	}
+}
+
+// TestRecoveryResyncDoesNotAllocate: resyncing costs no allocation per
+// byte skipped, so 64 KB of bytes that begin no record cost what one
+// such byte does.
+func TestRecoveryResyncDoesNotAllocate(t *testing.T) {
+	records := encode(t, sampleEvents())[len(binaryMagic):]
+	read := func(garbage int) float64 {
+		data := append(bytes.Clone(binaryMagic), bytes.Repeat([]byte{0xFF}, garbage)...)
+		data = append(data, records...)
+		return testing.AllocsPerRun(5, func() {
+			rd := NewRecoveringReader(bytes.NewReader(data))
+			for {
+				if _, err := rd.Read(); err != nil {
+					return
+				}
+			}
+		})
+	}
+	one, many := read(1), read(64<<10)
+	if many != one || many > 10 {
+		t.Errorf("recovering past 1 garbage byte: %v allocations; past 64 KB: %v", one, many)
+	}
+}
