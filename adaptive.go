@@ -16,10 +16,11 @@ import (
 // configuration, so one AdaptivePolicy can drive many concurrent runs.
 type AdaptivePolicy = core.AdaptivePolicy
 
-// PolicyInstance is one run's worth of adaptive policy state. Its
-// learning is deterministic given the instance seed, and Snapshot/
-// Restore round-trip the state exactly, which is how checkpointed
-// replays resume bit-identically.
+// PolicyInstance is one run's worth of adaptive policy state: Boundary
+// picks each scavenge's threatening boundary and Observe learns from
+// its outcome. Its learning is deterministic given the instance seed,
+// and a checkpointed replay resumes the live instance, so the resumed
+// run stays bit-identical.
 type PolicyInstance = core.PolicyInstance
 
 // EpsGreedyPolicy returns an adaptive ε-greedy bandit over a grid of

@@ -51,12 +51,11 @@ func TestEspressoWritesDecodableTrace(t *testing.T) {
 	if !strings.Contains(stderr, "espresso:") {
 		t.Fatalf("summary missing from stderr: %q", stderr)
 	}
-	f, err := os.Open(out)
+	data, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	events, err := dtbgc.ReadTrace(f)
+	events, err := dtbgc.ReadTrace(bytes.NewReader(data))
 	if err != nil || len(events) == 0 {
 		t.Fatalf("trace file: %d events, %v", len(events), err)
 	}

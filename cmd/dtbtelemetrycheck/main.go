@@ -25,6 +25,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -48,13 +49,12 @@ func main() {
 		if arg == "-" {
 			r, name = os.Stdin, "<stdin>"
 		} else {
-			f, err := os.Open(arg)
+			data, err := os.ReadFile(arg)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "dtbtelemetrycheck:", err)
 				os.Exit(2)
 			}
-			defer f.Close()
-			r = f
+			r = bytes.NewReader(data)
 		}
 		problems, err := check(r)
 		if err != nil {

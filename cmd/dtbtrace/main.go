@@ -18,6 +18,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -220,12 +221,11 @@ func cmdGen(args []string, stdout, stderr io.Writer) error {
 }
 
 func readTraceFile(path string) ([]dtbgc.Event, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return dtbgc.ReadTrace(f)
+	return dtbgc.ReadTrace(bytes.NewReader(data))
 }
 
 func cmdStat(args []string, stdout io.Writer) error {
@@ -264,17 +264,16 @@ func cmdConvert(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(fs.Arg(0))
+	data, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	var events []dtbgc.Event
 	switch *from {
 	case "bin":
-		events, err = dtbgc.ReadTrace(f)
+		events, err = dtbgc.ReadTrace(bytes.NewReader(data))
 	case "text":
-		events, err = dtbgc.ReadTraceText(f)
+		events, err = dtbgc.ReadTraceText(bytes.NewReader(data))
 	default:
 		return cliio.Usagef("unknown input format %q", *from)
 	}

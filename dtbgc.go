@@ -237,7 +237,9 @@ func ReplayAll(ctx context.Context, src EventSource, opts []SimOptions) ([]*Resu
 }
 
 // Checkpoint captures a consistent interrupted replay, resumable via
-// its Resume method with a reopened source. See ReplayAllResumable.
+// its Resume method with a reopened source. Once a resume has fed the
+// replay past it, the checkpoint is stale and Resume refuses it. See
+// ReplayAllResumable.
 type Checkpoint = engine.Checkpoint
 
 // ReplayAllResumable is ReplayAll with checkpoint/resume: when the

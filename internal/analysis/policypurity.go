@@ -22,14 +22,14 @@ import (
 //
 // There is exactly one sanctioned escape from statelessness: a
 // core.PolicyInstance — a receiver type carrying the full instance
-// method set (Boundary, Observe, Snapshot, Restore). Instances exist
-// to hold per-run learned state, so their receiver writes are exempt;
-// everything else still applies — the history stays read-only and
-// unretained, package variables stay off limits — and, because
-// instance state must replay bit-identically, instance methods (and
-// all policy code) may draw randomness and environment only from
-// seeded, snapshot-able sources: math/rand, time.Now, os.Getenv and
-// friends are flagged wherever a policy-shaped function uses them.
+// method set (Boundary, Observe). Instances exist to hold per-run
+// learned state, so their receiver writes are exempt; everything else
+// still applies — the history stays read-only and unretained, package
+// variables stay off limits — and, because instance state must replay
+// bit-identically, instance methods (and all policy code) may draw
+// randomness and environment only from seeded sources: math/rand,
+// time.Now, os.Getenv and friends are flagged wherever a policy-shaped
+// function uses them.
 var PolicyPurity = &Analyzer{
 	Name: "policypurity",
 	Doc:  "boundary policies must be pure functions of (now, history, heap); instance state only via the sanctioned PolicyInstance contract",
@@ -55,10 +55,10 @@ func runPolicyPurity(pass *Pass) {
 }
 
 // instanceMethods is the method set that marks a receiver type as a
-// sanctioned core.PolicyInstance: per-run state carriers declare all
-// of Boundary/Observe/Snapshot/Restore, and only they may write
-// receiver fields from policy code.
-var instanceMethods = []string{"Boundary", "Observe", "Snapshot", "Restore"}
+// sanctioned core.PolicyInstance: per-run state carriers declare both
+// Boundary and Observe, and only they may write receiver fields from
+// policy code.
+var instanceMethods = []string{"Boundary", "Observe"}
 
 // sanctionedInstanceMethod reports whether fn is a method of a type
 // implementing the full PolicyInstance method set.
@@ -190,7 +190,7 @@ func checkPolicyBody(pass *Pass, info *types.Info, fn *ast.FuncDecl, hist map[ty
 					pass.Reportf(v.Pos(), "%s calls History.%s: policies must not mutate the scavenge history", fn.Name.Name, sel.Sel.Name)
 				}
 				if src := ambientSource(info, sel); src != "" {
-					pass.Reportf(v.Pos(), "%s calls %s: policy code must use only seeded, snapshot-able randomness (the run's xrand instance), never ambient state", fn.Name.Name, src)
+					pass.Reportf(v.Pos(), "%s calls %s: policy code must use only seeded randomness (the run's xrand instance), never ambient state", fn.Name.Name, src)
 				}
 			}
 		}
@@ -201,9 +201,9 @@ func checkPolicyBody(pass *Pass, info *types.Info, fn *ast.FuncDecl, hist map[ty
 // ambientSource classifies a selector call as ambient nondeterminism —
 // unseeded randomness, wall-clock time, the process environment — and
 // returns a human-readable name for it, or "". Any use of math/rand is
-// banned outright: even a locally seeded rand.Rand cannot be
-// snapshotted for checkpoint/resume, which is why internal/xrand
-// exists.
+// banned outright: even a locally seeded rand.Rand may produce a
+// different stream under another Go release, which is why
+// internal/xrand exists.
 func ambientSource(info *types.Info, sel *ast.SelectorExpr) string {
 	obj := info.Uses[sel.Sel]
 	if obj == nil || obj.Pkg() == nil {

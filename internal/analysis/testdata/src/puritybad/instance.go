@@ -43,9 +43,3 @@ func (l *LeakyInstance) Observe(core.ScavengeFacts) {
 	l.plays++
 	_ = rand.Float64() // want: math/rand.Float64
 }
-
-// Snapshot implements the instance contract.
-func (l *LeakyInstance) Snapshot() []byte { return nil }
-
-// Restore implements the instance contract.
-func (l *LeakyInstance) Restore([]byte) error { return nil }

@@ -6,10 +6,10 @@ import (
 )
 
 // Learner is a sanctioned PolicyInstance: it declares the full
-// Boundary/Observe/Snapshot/Restore method set, so holding and
-// mutating per-run state on the receiver is exactly what it is for —
-// as long as the randomness is the seeded xrand stream and the history
-// stays read-only and unretained.
+// Boundary/Observe method set, so holding and mutating per-run state
+// on the receiver is exactly what it is for — as long as the
+// randomness is the seeded xrand stream and the history stays
+// read-only and unretained.
 type Learner struct {
 	rng    *xrand.Rand
 	plays  int
@@ -30,9 +30,3 @@ func (l *Learner) Boundary(now core.Time, hist *core.History, heap core.Heap) co
 func (l *Learner) Observe(f core.ScavengeFacts) {
 	l.reward -= float64(f.Scavenge.Traced)
 }
-
-// Snapshot implements the instance contract.
-func (l *Learner) Snapshot() []byte { return nil }
-
-// Restore implements the instance contract.
-func (l *Learner) Restore([]byte) error { return nil }

@@ -20,9 +20,6 @@ package core
 //     policypurity analyzer rejects them in policy code).
 //   - The simulator pairs calls strictly: one Boundary, then one
 //     Observe for the scavenge that boundary produced, in run order.
-//   - Snapshot/Restore must round-trip the complete instance state,
-//     so an engine checkpoint can pin the instance mid-run and a
-//     resumed replay stays bit-identical.
 //
 // ClampBoundary discipline is unchanged: the simulator clamps every
 // instance output to [0, now], exactly as for pure policies.
@@ -62,12 +59,6 @@ type PolicyInstance interface {
 	// Observe delivers the outcome of the scavenge the last Boundary
 	// call configured. Calls alternate strictly with Boundary.
 	Observe(f ScavengeFacts)
-	// Snapshot serializes the complete instance state. Restoring the
-	// snapshot into a fresh NewRun instance must reproduce the exact
-	// decision stream the live instance would have produced.
-	Snapshot() []byte
-	// Restore replaces the instance state with a prior Snapshot.
-	Restore(snap []byte) error
 }
 
 // AdaptivePolicy is a Policy that carries per-run state. The Policy

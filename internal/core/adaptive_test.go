@@ -107,64 +107,6 @@ func TestAdaptiveFirstScavengeIsFull(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSnapshotRoundTrip pins the checkpoint contract: a fresh
-// instance restored from a mid-run snapshot must continue with the
-// exact decision stream the live instance produces.
-func TestAdaptiveSnapshotRoundTrip(t *testing.T) {
-	const split, tail = 25, 25
-	for _, fam := range adaptiveFamilies() {
-		live := fam.NewRun(99)
-		driveTrace(t, live, split)
-		snap := live.Snapshot()
-
-		restored := fam.NewRun(99)
-		driveTrace(t, restored, split) // advance the same way, then overwrite
-		if err := restored.Restore(snap); err != nil {
-			t.Fatalf("%s: restore: %v", fam.Name(), err)
-		}
-		a := driveTrace(t, live, tail)
-		b := driveTrace(t, restored, tail)
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: restored instance diverged from the live one after the snapshot point", fam.Name())
-		}
-	}
-}
-
-// TestAdaptiveSnapshotRestoresIntoFresh is the stronger form: the
-// restore target never saw the prefix at all.
-func TestAdaptiveSnapshotRestoresIntoFresh(t *testing.T) {
-	for _, fam := range adaptiveFamilies() {
-		live := fam.NewRun(3)
-		driveTrace(t, live, 15)
-		snap := live.Snapshot()
-
-		fresh := fam.NewRun(3)
-		if err := fresh.Restore(snap); err != nil {
-			t.Fatalf("%s: restore into fresh instance: %v", fam.Name(), err)
-		}
-		a := driveTrace(t, live, 15)
-		b := driveTrace(t, fresh, 15)
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: fresh-restored instance diverged from the live one", fam.Name())
-		}
-	}
-}
-
-func TestAdaptiveRestoreRejectsGarbage(t *testing.T) {
-	for _, fam := range adaptiveFamilies() {
-		inst := fam.NewRun(1)
-		if err := inst.Restore([]byte("{")); err == nil {
-			t.Errorf("%s: Restore accepted malformed JSON", fam.Name())
-		}
-	}
-	// Arm-count mismatch between spec and snapshot.
-	snap := Bandit{Eps: 0.1, Arms: 4}.NewRun(1).Snapshot()
-	wide := Bandit{Eps: 0.1, Arms: 8}.NewRun(1)
-	if err := wide.Restore(snap); err == nil {
-		t.Error("Bandit Restore accepted a snapshot with the wrong arm count")
-	}
-}
-
 func TestAdaptiveFamilyBoundaryPanics(t *testing.T) {
 	for _, fam := range adaptiveFamilies() {
 		func() {
@@ -219,30 +161,5 @@ func TestAdaptiveNames(t *testing.T) {
 		if got := c.p.Name(); got != c.want {
 			t.Errorf("Name() = %q, want %q", got, c.want)
 		}
-	}
-}
-
-func TestXrandStateRoundTrip(t *testing.T) {
-	r := xrand.New(5)
-	r.Uint64()
-	st := r.State()
-	a, b := xrand.New(0), xrand.New(0)
-	if err := a.SetState(st); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SetState(st); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		want := r.Uint64()
-		if got := a.Uint64(); got != want {
-			t.Fatalf("restored stream diverged at %d", i)
-		}
-		if got := b.Uint64(); got != want {
-			t.Fatalf("second restored stream diverged at %d", i)
-		}
-	}
-	if err := a.SetState([4]uint64{}); err == nil {
-		t.Fatal("SetState accepted the all-zero state")
 	}
 }

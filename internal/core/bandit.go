@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -157,69 +156,6 @@ func (b *banditInstance) Observe(f ScavengeFacts) {
 
 // LastDecision implements DecisionExplainer.
 func (b *banditInstance) LastDecision() (DecisionInfo, bool) { return b.last, b.hasLast }
-
-// banditSnapshot is the JSON wire form of a banditInstance. Reward
-// sums travel as Float64bits so the round-trip is exact by
-// construction, not by float-formatting luck.
-type banditSnapshot struct {
-	Rng        [4]uint64 `json:"rng"`
-	Counts     []uint64  `json:"counts"`
-	Rewards    []uint64  `json:"rewards"` // Float64bits per arm
-	Plays      uint64    `json:"plays"`
-	Pending    int       `json:"pending"`
-	LastArm    int       `json:"last_arm"`
-	LastDigest uint64    `json:"last_digest"`
-	HasLast    bool      `json:"has_last"`
-}
-
-// Snapshot implements PolicyInstance.
-func (b *banditInstance) Snapshot() []byte {
-	s := banditSnapshot{
-		Rng:        b.rng.State(),
-		Counts:     append([]uint64(nil), b.counts...),
-		Rewards:    make([]uint64, len(b.rewards)),
-		Plays:      b.plays,
-		Pending:    b.pending,
-		LastArm:    b.last.Arm,
-		LastDigest: b.last.FeatureDigest,
-		HasLast:    b.hasLast,
-	}
-	for i, r := range b.rewards {
-		s.Rewards[i] = math.Float64bits(r)
-	}
-	out, err := json.Marshal(s)
-	if err != nil {
-		// Unreachable: the snapshot struct contains only integers.
-		panic("core: bandit snapshot: " + err.Error())
-	}
-	return out
-}
-
-// Restore implements PolicyInstance.
-func (b *banditInstance) Restore(snap []byte) error {
-	var s banditSnapshot
-	if err := json.Unmarshal(snap, &s); err != nil {
-		return fmt.Errorf("core: bandit restore: %w", err)
-	}
-	if len(s.Counts) != len(b.counts) || len(s.Rewards) != len(b.rewards) {
-		return fmt.Errorf("core: bandit restore: snapshot has %d arms, instance has %d", len(s.Counts), len(b.counts))
-	}
-	if s.Pending < -1 || s.Pending >= len(b.counts) {
-		return fmt.Errorf("core: bandit restore: pending arm %d out of range", s.Pending)
-	}
-	if err := b.rng.SetState(s.Rng); err != nil {
-		return err
-	}
-	copy(b.counts, s.Counts)
-	for i, bits := range s.Rewards {
-		b.rewards[i] = math.Float64frombits(bits)
-	}
-	b.plays = s.Plays
-	b.pending = s.Pending
-	b.last = DecisionInfo{Arm: s.LastArm, FeatureDigest: s.LastDigest}
-	b.hasLast = s.HasLast
-	return nil
-}
 
 var (
 	_ AdaptivePolicy    = Bandit{}

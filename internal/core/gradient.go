@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -60,7 +59,7 @@ func (g Gradient) Boundary(Time, *History, Heap) Time {
 // NewRun implements AdaptivePolicy.
 func (g Gradient) NewRun(seed uint64) PolicyInstance {
 	rng := xrand.New(seed)
-	inst := &gradientInstance{p: g, rng: rng}
+	inst := &gradientInstance{p: g}
 	for i := range inst.w {
 		inst.w[i] = 0.01 * rng.NormFloat64()
 	}
@@ -69,9 +68,8 @@ func (g Gradient) NewRun(seed uint64) PolicyInstance {
 
 // gradientInstance is one run's controller state.
 type gradientInstance struct {
-	p   Gradient
-	rng *xrand.Rand
-	w   [gradFeatures]float64
+	p Gradient
+	w [gradFeatures]float64
 
 	// The pending decision's inputs, held for the weight update when
 	// its outcome arrives.
@@ -165,76 +163,6 @@ func (g *gradientInstance) Observe(f ScavengeFacts) {
 
 // LastDecision implements DecisionExplainer.
 func (g *gradientInstance) LastDecision() (DecisionInfo, bool) { return g.last, g.hasLast }
-
-// gradientSnapshot is the JSON wire form of a gradientInstance; all
-// floats travel as Float64bits for exact round-trips.
-type gradientSnapshot struct {
-	Rng      [4]uint64 `json:"rng"`
-	W        []uint64  `json:"w"`
-	PendingX []uint64  `json:"pending_x"`
-	PendingF uint64    `json:"pending_f"`
-	Pending  bool      `json:"pending"`
-	Prev     Scavenge  `json:"prev"`
-	PrevLive uint64    `json:"prev_live"`
-	PrevMark bool      `json:"prev_mark"`
-	HasPrev  bool      `json:"has_prev"`
-	LastArm  int       `json:"last_arm"`
-	LastDig  uint64    `json:"last_digest"`
-	HasLast  bool      `json:"has_last"`
-}
-
-// Snapshot implements PolicyInstance.
-func (g *gradientInstance) Snapshot() []byte {
-	s := gradientSnapshot{
-		Rng:      g.rng.State(),
-		W:        make([]uint64, gradFeatures),
-		PendingX: make([]uint64, gradFeatures),
-		PendingF: math.Float64bits(g.pendingF),
-		Pending:  g.pending,
-		Prev:     g.prev.Scavenge,
-		PrevLive: g.prev.Live,
-		PrevMark: g.prev.MarkTriggered,
-		HasPrev:  g.hasPrev,
-		LastArm:  g.last.Arm,
-		LastDig:  g.last.FeatureDigest,
-		HasLast:  g.hasLast,
-	}
-	for i := range g.w {
-		s.W[i] = math.Float64bits(g.w[i])
-		s.PendingX[i] = math.Float64bits(g.pendingX[i])
-	}
-	out, err := json.Marshal(s)
-	if err != nil {
-		// Unreachable: the snapshot struct contains only integers.
-		panic("core: gradient snapshot: " + err.Error())
-	}
-	return out
-}
-
-// Restore implements PolicyInstance.
-func (g *gradientInstance) Restore(snap []byte) error {
-	var s gradientSnapshot
-	if err := json.Unmarshal(snap, &s); err != nil {
-		return fmt.Errorf("core: gradient restore: %w", err)
-	}
-	if len(s.W) != gradFeatures || len(s.PendingX) != gradFeatures {
-		return fmt.Errorf("core: gradient restore: snapshot has %d weights, instance has %d", len(s.W), gradFeatures)
-	}
-	if err := g.rng.SetState(s.Rng); err != nil {
-		return err
-	}
-	for i := range g.w {
-		g.w[i] = math.Float64frombits(s.W[i])
-		g.pendingX[i] = math.Float64frombits(s.PendingX[i])
-	}
-	g.pendingF = math.Float64frombits(s.PendingF)
-	g.pending = s.Pending
-	g.prev = ScavengeFacts{Scavenge: s.Prev, Live: s.PrevLive, MarkTriggered: s.PrevMark}
-	g.hasPrev = s.HasPrev
-	g.last = DecisionInfo{Arm: s.LastArm, FeatureDigest: s.LastDig}
-	g.hasLast = s.HasLast
-	return nil
-}
 
 var (
 	_ AdaptivePolicy    = Gradient{}

@@ -106,6 +106,10 @@ func PolicySpec(p Policy) (string, error) {
 	return "", fmt.Errorf("core: policy %T has no ParsePolicy spec", p)
 }
 
+// maxBanditArms caps the arms a spec may ask for: each run holds 16
+// bytes per arm, and specs arrive from clients.
+const maxBanditArms = 1024
+
 // parseBandit parses the comma-separated key=value list after
 // "bandit:". Exactly one of eps/ucb selects the exploration strategy.
 func parseBandit(spec, arg string) (Policy, error) {
@@ -131,8 +135,8 @@ func parseBandit(spec, arg string) (Policy, error) {
 			b.UCB, hasUCB = c, true
 		case "arms":
 			k, err := strconv.Atoi(val)
-			if err != nil || k < 2 {
-				return nil, fmt.Errorf("core: policy %q: arms must be an integer >= 2, got %q", spec, val)
+			if err != nil || k < 2 || k > maxBanditArms {
+				return nil, fmt.Errorf("core: policy %q: arms must be an integer >= 2 and <= %d, got %q", spec, maxBanditArms, val)
 			}
 			b.Arms = k
 		default:
@@ -190,16 +194,19 @@ func KnownPolicies() []string {
 }
 
 func parseBytes(s string) (uint64, error) {
-	mult := uint64(1)
+	mult, digits := uint64(1), s
 	switch {
 	case strings.HasSuffix(s, "k"), strings.HasSuffix(s, "K"):
-		mult, s = 1024, s[:len(s)-1]
+		mult, digits = 1024, s[:len(s)-1]
 	case strings.HasSuffix(s, "m"), strings.HasSuffix(s, "M"):
-		mult, s = 1024*1024, s[:len(s)-1]
+		mult, digits = 1024*1024, s[:len(s)-1]
 	}
-	n, err := strconv.ParseUint(s, 10, 64)
+	n, err := strconv.ParseUint(digits, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad byte count %q", s)
+		return 0, fmt.Errorf("bad byte count %q", digits)
+	}
+	if n > math.MaxUint64/mult {
+		return 0, fmt.Errorf("bad byte count %q: overflows 64 bits", s)
 	}
 	return n * mult, nil
 }

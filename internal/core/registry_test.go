@@ -22,10 +22,13 @@ func TestParsePolicyValid(t *testing.T) {
 		{"dtbmem:3000k", DtbMem{MemMax: 3000 * 1024}},
 		{"dtbmem:2m", DtbMem{MemMax: 2 * 1024 * 1024}},
 		{"dtbfm:12345", DtbFM{TraceMax: 12345}},
+		{"dtbfm:18014398509481983k", DtbFM{TraceMax: math.MaxUint64 - 1023}},
+		{"dtbmem:17592186044415m", DtbMem{MemMax: math.MaxUint64 - (1<<20 - 1)}},
 		{"bandit:eps=0.1", Bandit{Eps: 0.1}},
 		{"bandit:eps=0.25,arms=12", Bandit{Eps: 0.25, Arms: 12}},
 		{"bandit:ucb=1.5", Bandit{UCB: 1.5}},
 		{"bandit:ucb=2,arms=4", Bandit{UCB: 2, Arms: 4}},
+		{"bandit:ucb=2,arms=1024", Bandit{UCB: 2, Arms: 1024}},
 		{"grad", Gradient{}},
 		{"grad:rate=0.1", Gradient{Rate: 0.1}},
 		{"grad:rate=0.1,trace=50k", Gradient{Rate: 0.1, TraceMax: 50 * 1024}},
@@ -92,6 +95,12 @@ func TestParsePolicyErrorsAreDescriptive(t *testing.T) {
 		{"bandit:eps=0.1,ucb=1", "exactly one of eps= or ucb="},
 		{"bandit:arms=8", "exactly one of eps= or ucb="},
 		{"bandit:eps=0.1,arms=1", "arms must be an integer >= 2"},
+		{"bandit:eps=0.1,arms=1025", "arms must be an integer >= 2 and <= 1024"},
+		{"bandit:eps=0.1,arms=4194304", "arms must be an integer >= 2 and <= 1024"},
+		// Byte counts whose suffix would wrap them modulo 2^64.
+		{"dtbfm:18014398509481984k", "bad byte count"},
+		{"dtbmem:17592186044417m", "bad byte count"},
+		{"grad:trace=18014398509481985k", "positive byte budget"},
 		{"bandit:k=3", "unknown bandit parameter"},
 		{"bandit:eps", "want key=value"},
 		{"grad:rate=0", "positive learning rate"},

@@ -233,6 +233,10 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case isUnknownTrace(err):
 			s.writeError(w, http.StatusNotFound, err)
+		case errors.As(err, new(*sim.TraceError)):
+			// The upload check covers the compacting replay it runs;
+			// a replay that cannot compact can still hit a defect.
+			s.writeError(w, http.StatusUnprocessableEntity, err)
 		case isDeadline(err):
 			s.writeError(w, http.StatusGatewayTimeout, fmt.Errorf("evaluation deadline exceeded: %w", err))
 		case errors.Is(err, context.Canceled):

@@ -250,6 +250,34 @@ func TestUploadRejectsWideAllocation(t *testing.T) {
 	}
 }
 
+// TestEvalTraceDefectIs422: an upload passes sim.Check, whose replay
+// compacts, yet a replay that cannot compact (a vmem baseline) runs
+// past the birth-bucket span. The eval fails with 422 and the
+// simulator's error, not 500.
+func TestEvalTraceDefectIs422(t *testing.T) {
+	_, c := newTestDaemon(t, Config{Workers: 1})
+	var events []trace.Event
+	for i := uint64(1); i <= 6200; i++ {
+		events = append(events, trace.Alloc(trace.ObjectID(i), 16<<20, 2*i), trace.Free(trace.ObjectID(i), 2*i+1))
+	}
+	var enc bytes.Buffer
+	if err := dtbgc.WriteTrace(&enc, events); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	info, err := c.UploadTrace(context.Background(), &enc)
+	if err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	_, err = c.Eval(context.Background(), &EvalRequest{TraceDigest: info.Digest, Baseline: "nogc", PageFrames: 64, PageBytes: 1 << 20})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("eval error = %v, want HTTP 422", err)
+	}
+	if want := "NoGC: sim: event 8190: birth bucket 1048576 out of range (base 0, limit 1048576 buckets)"; se.Message != want {
+		t.Fatalf("eval error text %q, want %q", se.Message, want)
+	}
+}
+
 func mustConfig(t *testing.T, req EvalRequest) sim.Config {
 	t.Helper()
 	if err := req.normalize(); err != nil {
@@ -502,6 +530,8 @@ func TestEvalBadRequests(t *testing.T) {
 		{TraceDigest: "zz", Policy: "full"},
 		{Workload: "CFRAC", Policy: "full", Scale: -1},
 		{Workload: "CFRAC", Policy: "full", PageFrames: -1},
+		{Workload: "CFRAC", Policy: "full", PageFrames: 64, PageBytes: 1},
+		{Workload: "CFRAC", Policy: "bandit:eps=0.1,arms=4194304"},
 		{Workload: "CFRAC", Policy: "full", DeadlineMs: -5},
 		// Pauses past the float range: 500 "json: unsupported value".
 		{Workload: "CFRAC", Scale: 0.02, Policy: "full", TriggerBytes: 16384, Machine: &MachineSpec{MIPS: 10, TraceBytesPer: 5e-324}},

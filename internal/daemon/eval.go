@@ -133,6 +133,9 @@ func (e *ErrUnknownTrace) Error() string {
 	return fmt.Sprintf("daemon: unknown trace %s: upload it (POST /v1/traces) and retry", e.Digest)
 }
 
+// minPageBytes is the smallest page size a request may set.
+const minPageBytes = 512
+
 // normalize validates the request and rewrites it in place into its
 // canonical form; it is the only place a request is parsed, and any
 // error it returns is the client's (HTTP 400). The CLI defaults are
@@ -198,6 +201,11 @@ func (r *EvalRequest) normalize() error {
 	}
 	if r.PageFrames < 0 {
 		return fmt.Errorf("page_frames %d cannot be negative", r.PageFrames)
+	}
+	// Smaller pages would let the vmem page map grow with nearly every
+	// byte a trace touches.
+	if r.PageBytes != 0 && r.PageBytes < minPageBytes {
+		return fmt.Errorf("page_bytes %d is below the minimum of %d", r.PageBytes, minPageBytes)
 	}
 	if r.PageFrames > 0 && r.PageBytes == 0 {
 		r.PageBytes = 4096

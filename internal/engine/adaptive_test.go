@@ -4,14 +4,16 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/dtbgc/dtbgc/internal/core"
 	"github.com/dtbgc/dtbgc/internal/sim"
 )
 
-// adaptiveTestMatrix mixes adaptive and pure policies so resume has to
-// restore some runners' state and leave others alone.
+// adaptiveTestMatrix mixes adaptive and pure policies, so a resume
+// continues some runners' learned state beside stateless ones.
 func adaptiveTestMatrix() []sim.Config {
 	const trigger = 32 * 1024
 	return []sim.Config{
@@ -56,56 +58,51 @@ func TestAdaptiveResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAdaptiveResumeRestoresCheckpointState: the checkpoint's recorded
-// policy state is authoritative. Corrupting the live instances between
-// checkpoint and resume must not change the outcome, because Resume
-// restores the snapshots taken at checkpoint time.
-func TestAdaptiveResumeRestoresCheckpointState(t *testing.T) {
+// TestResumeRefusesStaleCheckpoint: resuming cp1 to a second
+// interruption leaves cp1 behind its fleet. Resuming cp1 again must
+// fail without feeding or changing that fleet, so the newer cp2 still
+// finishes bit-identically to an uninterrupted replay.
+func TestResumeRefusesStaleCheckpoint(t *testing.T) {
 	events := testEvents(t)
 	want, err := Replay(context.Background(), SliceSource(events), adaptiveTestMatrix())
 	if err != nil {
 		t.Fatalf("uninterrupted Replay: %v", err)
 	}
 	boom := errors.New("boom")
-	breakAt := len(events) / 2
-	cfgs := adaptiveTestMatrix()
-	_, cp, _ := ReplayResumable(context.Background(), failAfter(events, breakAt, boom), cfgs)
-	if cp == nil {
-		t.Fatal("no checkpoint")
+	k1, k2 := len(events)/4, len(events)/2
+	_, cp1, _ := ReplayResumable(context.Background(), failAfter(events, k1, boom), adaptiveTestMatrix())
+	if cp1 == nil {
+		t.Fatal("first interrupt: no checkpoint")
+	}
+	_, cp2, _ := cp1.Resume(context.Background(), failAfter(events, k2, boom))
+	if cp2 == nil || cp2.Events() != k2 {
+		t.Fatalf("second interrupt: checkpoint %v, want one at %d events", cp2, k2)
 	}
 
-	// Sabotage: overwrite every adaptive instance's live state with a
-	// fresh foreign-seed run's state between checkpoint and resume.
-	corrupted := 0
-	for i, r := range cp.fleet.Runners() {
-		inst := r.PolicyInstance()
-		if inst == nil {
-			continue
-		}
-		foreign := cfgs[i].Policy.(core.AdaptivePolicy).NewRun(0xDEAD).Snapshot()
-		if err := inst.Restore(foreign); err != nil {
-			t.Fatalf("runner %d: corrupting restore failed: %v", i, err)
-		}
-		corrupted++
+	res, cp, err := cp1.Resume(context.Background(), SliceSource(events))
+	if err == nil || res != nil || cp != nil {
+		t.Fatalf("stale resume: results %v, checkpoint %v, err %v; want a refusal", res, cp, err)
 	}
-	if corrupted == 0 {
-		t.Fatal("matrix has no adaptive runners to corrupt")
+	for _, k := range []int{k1, k2} {
+		if !strings.Contains(err.Error(), strconv.Itoa(k)) {
+			t.Errorf("stale resume error %q does not name event count %d", err, k)
+		}
+	}
+	if n := cp1.fleet.Events(); n != k2 {
+		t.Fatalf("refused resume moved the fleet from %d to %d events", k2, n)
 	}
 
-	got, cp2, rerr := cp.Resume(context.Background(), SliceSource(events))
-	if rerr != nil || cp2 != nil {
-		t.Fatalf("Resume: %v (checkpoint %v)", rerr, cp2)
+	got, cp, err := cp2.Resume(context.Background(), SliceSource(events))
+	if err != nil || cp != nil {
+		t.Fatalf("resume of the newer checkpoint: %v (checkpoint %v)", err, cp)
 	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("%s: perturbed-then-resumed result differs — Resume trusted live state instead of the snapshot",
-				want[i].Collector)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("newer checkpoint resumed after a refused stale one differs from the uninterrupted replay")
 	}
 }
 
-// TestAdaptiveResumeTwiceInterrupted: chained interrupts re-snapshot
-// the state at each new checkpoint.
+// TestAdaptiveResumeTwiceInterrupted: a resumed replay can itself be
+// interrupted, and its checkpoint resumes the learned state it reached.
 func TestAdaptiveResumeTwiceInterrupted(t *testing.T) {
 	events := testEvents(t)
 	want, err := Replay(context.Background(), SliceSource(events), adaptiveTestMatrix())

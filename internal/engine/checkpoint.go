@@ -25,40 +25,28 @@ import (
 // exact event count, never rounded to a batch boundary.
 //
 // A checkpoint is in-memory only — fleet state (tape, per-runner heap
-// views, probe chain) is live program state, not a serializable
-// snapshot — so resume serves the retry-in-process case: transient
-// fault, reopen, continue. A trace validation error is *not*
-// resumable: the offending event can never be applied, so retrying the
-// same stream would fail the same way.
+// views, adaptive-policy instances, probe chain) is live program
+// state, not a serializable snapshot — so resume serves the
+// retry-in-process case: transient fault, reopen, continue. A trace
+// validation error is *not* resumable: the offending event can never
+// be applied, so retrying the same stream would fail the same way.
 //
-// Adaptive-policy state is the one exception to "live state is the
-// checkpoint": it is captured as opaque per-runner snapshots at
-// checkpoint creation and restored at resume, so the learned state a
-// resumed replay continues from is exactly what the checkpoint saw —
-// even if someone touched the in-memory instances in between.
-//
-// The tape's compaction watermark gets the same treatment: captured
-// at checkpoint creation and verified at resume. Compaction retires
-// tape state that cannot be resurrected, so the "restore" direction
-// is a bit-exact equality check — the watermark is a pure function of
-// the events fed (the cadence counts events, not batches), and a
-// mismatch means the fleet diverged from the checkpoint in between.
+// The live fleet is the whole checkpoint. It is unexported, so it
+// changes only when a resume feeds it, and every feed advances its
+// event count; everything else the resume continues from — compaction
+// state, learned policy state — is a function of the events fed. So a
+// checkpoint is stale exactly when its fleet's count has moved past
+// its own (an older checkpoint resumed after a newer one, or after a
+// resume that fed events and failed or finished), and resuming it is
+// refused before anything changes.
 type Checkpoint struct {
 	fleet  *sim.Fleet
 	events int
-	policy [][]byte
-	tape   sim.TapeCompaction
 }
 
 // Events returns the number of events every runner had processed when
 // the replay was interrupted.
 func (c *Checkpoint) Events() int { return c.events }
-
-// TapeCompaction returns the compaction watermark the shared tape
-// carried at the interruption point: how many ordinals epoch-based
-// compaction had retired and which trace IDs went with them. Tests
-// use it to prove a resume crossed a compaction epoch.
-func (c *Checkpoint) TapeCompaction() sim.TapeCompaction { return c.tape }
 
 // feedError marks a fleet feed failure — a trace validation error —
 // which no retry can get past and is therefore not resumable; source
@@ -108,17 +96,8 @@ func (c *Checkpoint) Resume(ctx context.Context, src Source) ([]*sim.Result, *Ch
 
 // ResumeBatches is Resume over a batch-native source.
 func (c *Checkpoint) ResumeBatches(ctx context.Context, src BatchSource) ([]*sim.Result, *Checkpoint, error) {
-	// Re-arm the adaptive policies with the state the checkpoint
-	// recorded. A restore failure means the checkpoint itself is bad —
-	// nothing consistent to resume from.
-	if err := c.fleet.RestorePolicyState(c.policy); err != nil {
-		return nil, nil, fmt.Errorf("engine: resume: %w", err)
-	}
-	// Verify the tape against the recorded compaction watermark: a
-	// fleet that was fed (or compacted) past the checkpoint would
-	// resume from the wrong state.
-	if err := c.fleet.RestoreTapeCompaction(c.tape); err != nil {
-		return nil, nil, fmt.Errorf("engine: resume: %w", err)
+	if n := c.fleet.Events(); n != c.events {
+		return nil, nil, fmt.Errorf("engine: resume: fleet has processed %d event(s) but the checkpoint is at %d: the checkpoint is stale", n, c.events)
 	}
 	return replayFrom(ctx, src, c.fleet, c.events)
 }
@@ -159,12 +138,7 @@ func replayFrom(ctx context.Context, src BatchSource, fleet *sim.Fleet, skip int
 		if n < skip {
 			return nil, nil, fmt.Errorf("engine: resume: source failed %d event(s) before the checkpoint at %d: %w", skip-n, skip, err)
 		}
-		return nil, &Checkpoint{
-			fleet:  fleet,
-			events: n,
-			policy: fleet.SnapshotPolicyState(),
-			tape:   fleet.SnapshotTapeCompaction(),
-		}, err
+		return nil, &Checkpoint{fleet: fleet, events: n}, err
 	}
 	if n < skip {
 		return nil, nil, fmt.Errorf("engine: resume: source delivered %d event(s), checkpoint expects at least %d", n, skip)

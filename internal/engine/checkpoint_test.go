@@ -31,36 +31,34 @@ func failAfter(events []trace.Event, n int, err error) Source {
 // TestResumeBitIdentical is the checkpoint contract: a replay
 // interrupted by a source error and resumed from a reopened source
 // finishes with results deeply equal to the uninterrupted run's —
-// History, Pauses and telemetry-visible floats included.
+// History, Pauses and telemetry-visible floats included. A fleet with
+// no collectors resolves nothing, but still counts the events it is
+// fed, so its checkpoints resume too.
 func TestResumeBitIdentical(t *testing.T) {
 	events := testEvents(t)
-	cfgs := testMatrix()
-
-	want, err := Replay(context.Background(), SliceSource(events), cfgs)
-	if err != nil {
-		t.Fatalf("uninterrupted Replay: %v", err)
-	}
-
-	for _, breakAt := range []int{0, 1, len(events) / 2, len(events) - 1} {
-		injected := fmt.Errorf("transient read failure")
-		_, cp, rerr := ReplayResumable(context.Background(), failAfter(events, breakAt, injected), testMatrix())
-		if !errors.Is(rerr, injected) {
-			t.Fatalf("breakAt %d: error %v, want the injected one", breakAt, rerr)
+	for _, matrix := range []func() []sim.Config{testMatrix, func() []sim.Config { return nil }} {
+		want, err := Replay(context.Background(), SliceSource(events), matrix())
+		if err != nil {
+			t.Fatalf("uninterrupted Replay: %v", err)
 		}
-		if cp == nil {
-			t.Fatalf("breakAt %d: no checkpoint for a between-events error", breakAt)
-		}
-		if cp.Events() != breakAt {
-			t.Fatalf("breakAt %d: checkpoint at %d events", breakAt, cp.Events())
-		}
-		got, cp2, rerr := cp.Resume(context.Background(), SliceSource(events))
-		if rerr != nil || cp2 != nil {
-			t.Fatalf("breakAt %d: Resume: %v (checkpoint %v)", breakAt, rerr, cp2)
-		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("breakAt %d, config %d (%s): resumed result differs from uninterrupted run",
-					breakAt, i, want[i].Collector)
+		for _, breakAt := range []int{0, 1, len(events) / 2, len(events) - 1} {
+			injected := fmt.Errorf("transient read failure")
+			_, cp, rerr := ReplayResumable(context.Background(), failAfter(events, breakAt, injected), matrix())
+			if !errors.Is(rerr, injected) {
+				t.Fatalf("%d collectors, breakAt %d: error %v, want the injected one", len(want), breakAt, rerr)
+			}
+			if cp == nil {
+				t.Fatalf("%d collectors, breakAt %d: no checkpoint for a between-events error", len(want), breakAt)
+			}
+			if cp.Events() != breakAt {
+				t.Fatalf("%d collectors, breakAt %d: checkpoint at %d events", len(want), breakAt, cp.Events())
+			}
+			got, cp2, rerr := cp.Resume(context.Background(), SliceSource(events))
+			if rerr != nil || cp2 != nil {
+				t.Fatalf("%d collectors, breakAt %d: Resume: %v (checkpoint %v)", len(want), breakAt, rerr, cp2)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d collectors, breakAt %d: resumed results differ from uninterrupted run", len(want), breakAt)
 			}
 		}
 	}

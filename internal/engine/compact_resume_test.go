@@ -40,10 +40,10 @@ func compactionMatrix() []sim.Config {
 }
 
 // TestResumeAcrossCompactionEpoch: a replay interrupted after the
-// tape has retired ordinal prefixes must checkpoint the compaction
-// watermark and resume to results bit-identical to the uninterrupted
-// run — the retired prefix is exactly the state a resume can no
-// longer reconstruct, so the watermark must prove it doesn't have to.
+// tape has retired ordinal prefixes must resume to results
+// bit-identical to the uninterrupted run — the retired prefix is
+// state a resume can no longer reconstruct, so the checkpoint's live
+// tape must be all it needs.
 func TestResumeAcrossCompactionEpoch(t *testing.T) {
 	events := compactionChurn(t, 30000)
 
@@ -58,15 +58,15 @@ func TestResumeAcrossCompactionEpoch(t *testing.T) {
 	if !errors.Is(rerr, boom) || cp == nil {
 		t.Fatalf("interrupt: err %v, checkpoint %v", rerr, cp)
 	}
-	w := cp.TapeCompaction()
-	if w.RetiredOrdinals == 0 {
-		t.Fatalf("checkpoint at %d events crossed no compaction epoch (watermark %+v): the test lost its premise", breakAt, w)
+	st := cp.fleet.TapeStats()
+	if st.RetiredObjects == 0 {
+		t.Fatalf("checkpoint at %d events crossed no compaction epoch (tape %+v): the test lost its premise", breakAt, st)
 	}
-	if w.Events != breakAt {
-		t.Fatalf("watermark taken at %d events, checkpoint at %d", w.Events, breakAt)
+	if st.Events != breakAt {
+		t.Fatalf("tape at %d events, checkpoint at %d", st.Events, breakAt)
 	}
-	if len(w.RetiredIDs) == 0 {
-		t.Fatalf("watermark retired %d ordinals but recorded no ID spans", w.RetiredOrdinals)
+	if st.RetiredIDSpans == 0 {
+		t.Fatalf("tape retired %d ordinals but holds no retired ID spans", st.RetiredObjects)
 	}
 
 	got, cp2, rerr := cp.Resume(context.Background(), SliceSource(events))
@@ -82,7 +82,7 @@ func TestResumeAcrossCompactionEpoch(t *testing.T) {
 }
 
 // TestResumeRejectsDivergedTape: a fleet fed past its checkpoint no
-// longer matches the recorded compaction watermark, and Resume must
+// longer stands at the checkpoint's event count, and Resume must
 // refuse it — continuing would replay the wrong suffix onto the
 // wrong tape.
 func TestResumeRejectsDivergedTape(t *testing.T) {

@@ -31,6 +31,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -196,18 +197,21 @@ func ParseSpec(spec string) (*Plan, error) {
 }
 
 // parseOffset parses a decimal offset with an optional k/m binary
-// suffix.
+// suffix. An offset past 2^64-1 is out of range, suffix or not.
 func parseOffset(s string) (uint64, error) {
-	mult := uint64(1)
+	mult, digits := uint64(1), s
 	switch {
 	case strings.HasSuffix(s, "k"), strings.HasSuffix(s, "K"):
-		mult, s = 1024, s[:len(s)-1]
+		mult, digits = 1024, s[:len(s)-1]
 	case strings.HasSuffix(s, "m"), strings.HasSuffix(s, "M"):
-		mult, s = 1024*1024, s[:len(s)-1]
+		mult, digits = 1024*1024, s[:len(s)-1]
 	}
-	n, err := strconv.ParseUint(s, 10, 64)
+	n, err := strconv.ParseUint(digits, 10, 64)
 	if err != nil {
 		return 0, err
+	}
+	if n > math.MaxUint64/mult {
+		return 0, &strconv.NumError{Func: "ParseUint", Num: s, Err: strconv.ErrRange}
 	}
 	return n * mult, nil
 }

@@ -35,6 +35,14 @@ func TestParseSpecSuffixes(t *testing.T) {
 	if got := p.String(); got != "trunc@4096,read-err@2097152" {
 		t.Errorf("suffix expansion: %q", got)
 	}
+	// The largest offsets each suffix can reach.
+	p, err = ParseSpec("trunc@18014398509481983k,read-err@17592186044415M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.String(); got != "trunc@18446744073709550592,read-err@18446744073708503040" {
+		t.Errorf("largest suffixed offsets: %q", got)
+	}
 }
 
 func TestParseSpecRejects(t *testing.T) {
@@ -47,11 +55,44 @@ func TestParseSpecRejects(t *testing.T) {
 		"trunc@-1",      // negative
 		"trunc@4q",      // bad suffix
 		"short-write@0", // zero cap
+		// Offsets whose suffix would wrap them modulo 2^64.
+		"read-err@18014398509481984k",
+		"short-write@18014398509481985k",
+		"cancel@17592186044417m",
 	} {
 		if p, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted: %v", bad, p)
 		}
 	}
+}
+
+// FuzzFaultSpec: any string either fails ParseSpec, or parses to a
+// plan whose String parses again to a plan that prints the same. It
+// never panics.
+func FuzzFaultSpec(f *testing.F) {
+	for i, kn := range kindNames {
+		f.Add(RandomPlan(uint64(i+1), kn.kind, 1<<20).String())
+	}
+	for _, spec := range []string{
+		"trunc@8192,close-err", " trunc@4k , read-err@2M ", "close-err@5",
+		"short-write@0", "cancel@17592186044417m", "read-err@18014398509481983k",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		s := p.String()
+		q, err := ParseSpec(s)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) prints %q, which does not parse: %v", spec, s, err)
+		}
+		if got := q.String(); got != s {
+			t.Fatalf("ParseSpec(%q) prints %q, which parses to %q", spec, s, got)
+		}
+	})
 }
 
 func TestReaderInjectsAtExactOffset(t *testing.T) {

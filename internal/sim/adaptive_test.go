@@ -71,10 +71,10 @@ func TestAdaptiveFleetInstancesAreIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	ra, rb := fleet.Runners()[0], fleet.Runners()[1]
-	if ra.PolicyInstance() == nil || rb.PolicyInstance() == nil {
+	if ra.instance == nil || rb.instance == nil {
 		t.Fatal("adaptive runners did not get policy instances")
 	}
-	if ra.PolicyInstance() == rb.PolicyInstance() {
+	if ra.instance == rb.instance {
 		t.Fatal("two runners share one adaptive policy instance")
 	}
 	if err := fleet.FeedBatch(events); err != nil {
@@ -199,85 +199,7 @@ func TestPureRunnersHaveNoInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.PolicyInstance() != nil {
+	if r.instance != nil {
 		t.Error("pure policy runner carries an adaptive instance")
-	}
-}
-
-// TestFleetPolicyStateSnapshotRestore drives a fleet halfway, snapshots
-// the adaptive state, keeps going, then proves a second fleet restored
-// from the snapshot finishes bit-identically on the same tail.
-func TestFleetPolicyStateSnapshotRestore(t *testing.T) {
-	events := markedChurnTrace(3000)
-	half := len(events) / 2
-	cfgs := adaptiveMatrix()
-
-	a, err := NewFleet(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.FeedBatch(events[:half]); err != nil {
-		t.Fatal(err)
-	}
-	snaps := a.SnapshotPolicyState()
-	if len(snaps) != len(cfgs) {
-		t.Fatalf("%d snapshots for %d runners", len(snaps), len(cfgs))
-	}
-	for i, cfg := range cfgs {
-		_, adaptive := cfg.Policy.(core.AdaptivePolicy)
-		if adaptive != (snaps[i] != nil) {
-			t.Fatalf("runner %d: adaptive=%v but snapshot presence=%v", i, adaptive, snaps[i] != nil)
-		}
-	}
-
-	// The reference: keep feeding fleet a to the end.
-	if err := a.FeedBatch(events[half:]); err != nil {
-		t.Fatal(err)
-	}
-	want := a.Finish()
-
-	// The restored twin: replay the prefix (recreating histories and
-	// heap state), then overwrite the policy state with the snapshot.
-	b, err := NewFleet(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.FeedBatch(events[:half]); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.RestorePolicyState(snaps); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.FeedBatch(events[half:]); err != nil {
-		t.Fatal(err)
-	}
-	got := b.Finish()
-	for i := range cfgs {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("%s: restored fleet diverged from the uninterrupted one", want[i].Collector)
-		}
-	}
-}
-
-// TestFleetRestorePolicyStateRejectsMismatch covers the shape checks.
-func TestFleetRestorePolicyStateRejectsMismatch(t *testing.T) {
-	cfgs := adaptiveMatrix()
-	f, err := NewFleet(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.RestorePolicyState(make([][]byte, 1)); err == nil {
-		t.Error("wrong-length snapshot slice accepted")
-	}
-	snaps := f.SnapshotPolicyState()
-	snaps[0] = nil // adaptive runner, missing state
-	if err := f.RestorePolicyState(snaps); err == nil {
-		t.Error("missing adaptive state accepted")
-	}
-	snaps = f.SnapshotPolicyState()
-	last := len(snaps) - 1 // the Full runner is pure
-	snaps[last] = []byte("{}")
-	if err := f.RestorePolicyState(snaps); err == nil {
-		t.Error("adaptive state for a pure runner accepted")
 	}
 }

@@ -21,10 +21,9 @@ package sim
 // uncompacted. It is also deterministic: the cadence gate counts
 // events, not batches, so two replays of the same stream — including
 // a checkpoint resume fed differently-shaped batches — compact at the
-// same points and carry the same watermark.
+// same points and hold the same tape after the same event count.
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -229,8 +228,8 @@ func (tp *tape) trimBuckets() {
 	tp.trimmedBuckets += uint64(z)
 }
 
-// IDSpan is an inclusive range [Lo, Hi] of retired trace object IDs.
-type IDSpan struct {
+// idSpan is an inclusive range [Lo, Hi] of retired trace object IDs.
+type idSpan struct {
 	Lo, Hi trace.ObjectID
 }
 
@@ -240,7 +239,7 @@ type IDSpan struct {
 // and membership is O(1); arbitrary valid traces (IDs need only be
 // unique) degrade gracefully to O(log spans) lookups and a span per
 // gap — an explicit retired set, run-length compressed.
-type idSpans []IDSpan
+type idSpans []idSpan
 
 // contains reports whether id was retired.
 func (s idSpans) contains(id trace.ObjectID) bool {
@@ -274,9 +273,9 @@ func (s *idSpans) addRange(lo, hi trace.ObjectID) {
 	case joinsNext:
 		sp[i].Lo = lo
 	default:
-		sp = append(sp, IDSpan{})
+		sp = append(sp, idSpan{})
 		copy(sp[i+1:], sp[i:])
-		sp[i] = IDSpan{Lo: lo, Hi: hi}
+		sp[i] = idSpan{Lo: lo, Hi: hi}
 		*s = sp
 	}
 }
@@ -314,61 +313,3 @@ func (r *Runner) TapeStats() TapeStats { return r.tape.stats() }
 
 // TapeStats reports the footprint of the fleet's shared tape.
 func (f *Fleet) TapeStats() TapeStats { return f.tape.stats() }
-
-// TapeCompaction is the tape's compaction watermark: how far the
-// sliding base had advanced after a given number of events. Engine
-// checkpoints store it so a resume can verify — bit for bit, spans
-// included — that the fleet's tape still matches what the checkpoint
-// saw; compaction's event-count cadence makes the watermark a pure
-// function of the event stream, so any mismatch means the fleet
-// diverged from the checkpoint in between.
-type TapeCompaction struct {
-	Events          int
-	RetiredOrdinals uint64
-	BucketBase      uint64
-	RetiredIDs      []IDSpan
-}
-
-// SnapshotTapeCompaction captures the shared tape's compaction
-// watermark. The span slice is copied: the tape keeps merging spans
-// in place after the snapshot.
-func (f *Fleet) SnapshotTapeCompaction() TapeCompaction {
-	tp := f.tape
-	spans := make([]IDSpan, len(tp.retired))
-	copy(spans, tp.retired)
-	return TapeCompaction{
-		Events:          tp.events,
-		RetiredOrdinals: tp.retiredOrds,
-		BucketBase:      tp.bucketBase,
-		RetiredIDs:      spans,
-	}
-}
-
-// RestoreTapeCompaction verifies the fleet's tape against a recorded
-// watermark. Retired prefixes cannot be resurrected, so "restore"
-// here is verification: the live tape must already match the
-// watermark exactly, which holds whenever the fleet has processed
-// exactly the watermark's events — compaction is deterministic in the
-// event count. A mismatch means the tape is not the one the
-// watermark described, and resuming would silently diverge.
-func (f *Fleet) RestoreTapeCompaction(w TapeCompaction) error {
-	tp := f.tape
-	if tp.events != w.Events {
-		return fmt.Errorf("sim: tape at event %d cannot restore a compaction watermark taken at event %d", tp.events, w.Events)
-	}
-	if tp.retiredOrds != w.RetiredOrdinals {
-		return fmt.Errorf("sim: tape retired %d ordinals but the watermark recorded %d", tp.retiredOrds, w.RetiredOrdinals)
-	}
-	if tp.bucketBase != w.BucketBase {
-		return fmt.Errorf("sim: tape bucket base %d but the watermark recorded %d", tp.bucketBase, w.BucketBase)
-	}
-	if len(tp.retired) != len(w.RetiredIDs) {
-		return fmt.Errorf("sim: tape holds %d retired ID spans but the watermark recorded %d", len(tp.retired), len(w.RetiredIDs))
-	}
-	for i, sp := range w.RetiredIDs {
-		if tp.retired[i] != sp {
-			return fmt.Errorf("sim: retired ID span %d is [%d,%d] but the watermark recorded [%d,%d]", i, tp.retired[i].Lo, tp.retired[i].Hi, sp.Lo, sp.Hi)
-		}
-	}
-	return nil
-}

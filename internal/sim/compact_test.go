@@ -484,11 +484,10 @@ func TestResolveSteadyStateAllocs(t *testing.T) {
 
 // TestCompactionDeterministicAcrossBatchShapes: the cadence counts
 // events, not batches, so the same stream fed in any batching must
-// land on an identical compaction watermark — the property engine
-// checkpoints rely on.
+// leave an identical tape — the property engine checkpoints rely on.
 func TestCompactionDeterministicAcrossBatchShapes(t *testing.T) {
 	events := compactingChurnTrace(20000)
-	var want TapeCompaction
+	var want TapeStats
 	for i, batch := range []int{1, 7, 4096, len(events)} {
 		fleet, err := NewFleet([]Config{tinyConfig(core.Full{}), {Mode: ModeLive}})
 		if err != nil {
@@ -499,42 +498,17 @@ func TestCompactionDeterministicAcrossBatchShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := fleet.SnapshotTapeCompaction()
-		if got.RetiredOrdinals == 0 {
+		got := fleet.TapeStats()
+		if got.RetiredObjects == 0 {
 			t.Fatalf("batch size %d: no compaction over %d events", batch, len(events))
 		}
 		if i == 0 {
 			want = got
 			continue
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("batch size %d: watermark %+v differs from batch size 1's %+v", batch, got, want)
+		if got != want {
+			t.Errorf("batch size %d: tape %+v differs from batch size 1's %+v", batch, got, want)
 		}
-	}
-}
-
-// TestRestoreTapeCompactionVerifies: restoring a watermark is an
-// equality check against the live tape — the same fleet state passes,
-// a fleet that moved past the snapshot fails.
-func TestRestoreTapeCompactionVerifies(t *testing.T) {
-	events := compactingChurnTrace(20000)
-	fleet, err := NewFleet([]Config{tinyConfig(core.Full{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := len(events) / 2
-	if err := fleet.FeedBatch(events[:half]); err != nil {
-		t.Fatal(err)
-	}
-	w := fleet.SnapshotTapeCompaction()
-	if err := fleet.RestoreTapeCompaction(w); err != nil {
-		t.Fatalf("verifying an untouched fleet against its own watermark: %v", err)
-	}
-	if err := fleet.FeedBatch(events[half:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := fleet.RestoreTapeCompaction(w); err == nil {
-		t.Fatal("a fleet fed past the watermark passed verification")
 	}
 }
 
@@ -570,17 +544,17 @@ func TestIDSpans(t *testing.T) {
 	for id := trace.ObjectID(10); id < 20; id++ {
 		s.add(id)
 	}
-	if len(s) != 1 || s[0] != (IDSpan{Lo: 10, Hi: 19}) {
+	if len(s) != 1 || s[0] != (idSpan{Lo: 10, Hi: 19}) {
 		t.Fatalf("monotone adds built %+v, want one span [10,19]", s)
 	}
 	s.add(25)
 	s.add(23)
 	s.add(24) // bridges 23 and 25
-	if len(s) != 2 || s[1] != (IDSpan{Lo: 23, Hi: 25}) {
+	if len(s) != 2 || s[1] != (idSpan{Lo: 23, Hi: 25}) {
 		t.Fatalf("gap adds built %+v, want [10,19] [23,25]", s)
 	}
 	s.add(9) // extends [10,19] downward
-	if len(s) != 2 || s[0] != (IDSpan{Lo: 9, Hi: 19}) {
+	if len(s) != 2 || s[0] != (idSpan{Lo: 9, Hi: 19}) {
 		t.Fatalf("downward extension built %+v", s)
 	}
 	for _, tc := range []struct {

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -339,6 +340,17 @@ func TestFuzzStreamRoundTrip(t *testing.T) {
 	}
 }
 
+// traceError returns err as the *sim.TraceError every trace defect
+// must be.
+func traceError(t *testing.T, err error) *sim.TraceError {
+	t.Helper()
+	var te *sim.TraceError
+	if !errors.As(err, &te) {
+		t.Fatalf("error %q (%T) is not a *sim.TraceError", err, err)
+	}
+	return te
+}
+
 // FuzzFleetVsReference is the differential fuzz target of the replay
 // stack: fuzz bytes decode to an event stream, valid or not, and a
 // compacting fleet fed in fuzzed batches — applying its runs from
@@ -372,12 +384,12 @@ func FuzzFleetVsReference(f *testing.F) {
 		switch {
 		case (got.err == nil) != (want.err == nil):
 			t.Fatalf("fleet error %v, reference error %v", got.err, want.err)
-		case got.err != nil && got.err.Error() != want.err.Error():
+		case got.err != nil && *traceError(t, got.err) != *traceError(t, want.err):
 			t.Fatalf("fleet error %q, reference error %q", got.err, want.err)
 		case got.events != want.events:
 			t.Fatalf("fleet accepted %d events, reference %d", got.events, want.events)
 		}
-		if err := sim.Check(events); (err == nil) != (want.err == nil) || err != nil && err.Error() != want.err.Error() {
+		if err := sim.Check(events); (err == nil) != (want.err == nil) || err != nil && *traceError(t, err) != *traceError(t, want.err) {
 			t.Fatalf("Check error %v, reference error %v", err, want.err)
 		}
 		for i := range cfgs {

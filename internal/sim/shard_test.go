@@ -110,8 +110,8 @@ func TestShardCountsMatchSoloRuns(t *testing.T) {
 // TestShardCountsWithCompaction runs run apply across compaction
 // epochs: the cadence check is a horizon, so retirement and rebasing
 // happen between runs, never inside one, and at exactly the events
-// lockstep feeding compacts at — the watermark after every batch
-// equals that of the same runner set fed one event at a time.
+// lockstep feeding compacts at — the tape after every batch equals
+// that of the same runner set fed one event at a time.
 func TestShardCountsWithCompaction(t *testing.T) {
 	events := compactingChurnTrace(20000)
 	cfgs := reclaimingMatrix()
@@ -142,8 +142,8 @@ func TestShardCountsWithCompaction(t *testing.T) {
 				if err := lockstep.FeedBatch(events[lo:hi]); err != nil {
 					t.Fatal(err)
 				}
-				if got, want := fleet.SnapshotTapeCompaction(), lockstep.SnapshotTapeCompaction(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s, batch %d, after event %d: watermark %+v, lockstep %+v", applyMode(summary), batch, hi, got, want)
+				if got, want := fleet.TapeStats(), lockstep.TapeStats(); got != want {
+					t.Fatalf("%s, batch %d, after event %d: tape %+v, lockstep %+v", applyMode(summary), batch, hi, got, want)
 				}
 			}
 			st := fleet.TapeStats()
@@ -162,10 +162,9 @@ func TestShardCountsWithCompaction(t *testing.T) {
 
 // TestShardCountsCheckpointMidRun interrupts a replay at offsets that
 // fall inside runs — between horizons, where the uninterrupted replay
-// would still be resolving ahead — snapshots and restores the fleet's
-// adaptive state and compaction watermark the way engine checkpoints
-// do, and finishes the replay in other batch shapes. Every result must
-// still equal a solo run.
+// would still be resolving ahead — and finishes it in other batch
+// shapes, as an engine checkpoint resume does. Every result must still
+// equal a solo run.
 func TestShardCountsCheckpointMidRun(t *testing.T) {
 	events := markedChurnTrace(4000)
 	cfgs := runMatrix(nil)
@@ -182,13 +181,6 @@ func TestShardCountsCheckpointMidRun(t *testing.T) {
 			tuneRuns(fleet, summary)
 			fleet.tape.checkEvery = 128
 			if err := fleet.FeedBatch(events[:at]); err != nil {
-				t.Fatal(err)
-			}
-			policy, tape := fleet.SnapshotPolicyState(), fleet.SnapshotTapeCompaction()
-			if err := fleet.RestorePolicyState(policy); err != nil {
-				t.Fatal(err)
-			}
-			if err := fleet.RestoreTapeCompaction(tape); err != nil {
 				t.Fatal(err)
 			}
 			for lo := at; lo < len(events); lo += 500 {

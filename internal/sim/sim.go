@@ -432,6 +432,18 @@ func (tp *tape) configure(runners []*Runner) {
 	}
 }
 
+// TraceError is a defect in a trace that no replay can get past: the
+// event at index Event (counted from the start of the trace) cannot be
+// applied. Object is the object the offending alloc or free names, or
+// 0 for a clock regression or an unknown kind.
+type TraceError struct {
+	Event  int
+	Object trace.ObjectID
+	Defect string // what is wrong, e.g. "double free of object 7"
+}
+
+func (e *TraceError) Error() string { return fmt.Sprintf("sim: event %d: %s", e.Event, e.Defect) }
+
 // resolve validates one event against the tape and advances the shared
 // state, filling out with the collector-independent facts runners need
 // to apply it. A failed resolve leaves the tape untouched, so feeding
@@ -441,25 +453,25 @@ func (tp *tape) configure(runners []*Runner) {
 func (tp *tape) resolve(e trace.Event, out *resolved) error {
 	i := tp.events
 	if e.Instr < tp.lastInstr {
-		return fmt.Errorf("sim: event %d: clock regressed", i)
+		return &TraceError{Event: i, Defect: "clock regressed"}
 	}
 	switch e.Kind {
 	case trace.KindAlloc:
 		if _, dup := tp.lookup(e.ID); dup {
-			return fmt.Errorf("sim: event %d: duplicate allocation of object %d", i, e.ID)
+			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("duplicate allocation of object %d", e.ID)}
 		}
 		// An ID missing from the index may still have been seen and
 		// retired by compaction; reusing it is the same trace defect.
 		if len(tp.retired) > 0 && tp.retired.contains(e.ID) {
-			return fmt.Errorf("sim: event %d: duplicate allocation of object %d", i, e.ID)
+			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("duplicate allocation of object %d", e.ID)}
 		}
 		if len(tp.sizes) >= tp.ordLimit {
-			return fmt.Errorf("sim: event %d: tape ordinal limit: %d objects retained at once", i, len(tp.sizes))
+			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("tape ordinal limit: %d objects retained at once", len(tp.sizes))}
 		}
 		clock := tp.clock.Add(e.Size)
 		b := birthBucket(clock)
 		if b-tp.bucketBase >= tp.maxBuckets {
-			return fmt.Errorf("sim: event %d: birth bucket %d out of range (base %d, limit %d buckets)", i, b, tp.bucketBase, tp.maxBuckets)
+			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("birth bucket %d out of range (base %d, limit %d buckets)", b, tp.bucketBase, tp.maxBuckets)}
 		}
 		ord := int32(len(tp.sizes))
 		// Every check has passed, so only now may the alloc move the
@@ -495,12 +507,12 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 			// of its ID is the double free it would have been before
 			// compaction — same defect, same error.
 			if len(tp.retired) > 0 && tp.retired.contains(e.ID) {
-				return fmt.Errorf("sim: event %d: double free of object %d", i, e.ID)
+				return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("double free of object %d", e.ID)}
 			}
-			return fmt.Errorf("sim: event %d: free of unknown object %d", i, e.ID)
+			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("free of unknown object %d", e.ID)}
 		}
 		if tp.dead[ord] {
-			return fmt.Errorf("sim: event %d: double free of object %d", i, e.ID)
+			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("double free of object %d", e.ID)}
 		}
 		tp.dead[ord] = true
 		size := tp.sizes[ord]
@@ -530,7 +542,7 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 	case trace.KindMark:
 		*out = resolved{kind: trace.KindMark, ord: -1, instr: e.Instr, clock: tp.clock, live: tp.live}
 	default:
-		return fmt.Errorf("sim: event %d: unknown kind %d", i, e.Kind)
+		return &TraceError{Event: i, Defect: fmt.Sprintf("unknown kind %d", e.Kind)}
 	}
 	tp.lastInstr = e.Instr
 	tp.events++
@@ -818,13 +830,6 @@ func (r *Runner) logs() bool { return r.isPolicy && !r.sweeps }
 // "DtbFM", "NoGC", ...). It is available from construction, so replay
 // harnesses can label per-runner errors before Finish.
 func (r *Runner) Collector() string { return r.res.Collector }
-
-// PolicyInstance returns the runner's adaptive-policy state, or nil
-// for pure policies and the baselines. It is exposed for checkpoint
-// tooling and tests; mutating it mid-run breaks replay bit-identity
-// unless the state is restored before feeding resumes, which is
-// exactly what engine.Checkpoint does.
-func (r *Runner) PolicyInstance() core.PolicyInstance { return r.instance }
 
 // derivePolicySeed turns the user-facing PolicySeed into the per-run
 // instance seed: FNV-1a over the label and collector name, folded
@@ -1383,49 +1388,6 @@ func TuneRunsForTest(summary bool) (restore func()) {
 // by the fleet: feed events through FeedBatch, not Runner.Feed.
 func (f *Fleet) Runners() []*Runner { return f.runners }
 
-// SnapshotPolicyState captures the adaptive-policy state of every
-// runner, in config order: one opaque snapshot per runner, nil for
-// runners whose policy is pure (or whose mode is not ModePolicy). The
-// engine's checkpoints store these alongside the event count so a
-// resumed replay restores the learned state the checkpoint saw rather
-// than trusting whatever mutated in memory since.
-func (f *Fleet) SnapshotPolicyState() [][]byte {
-	out := make([][]byte, len(f.runners))
-	for i, r := range f.runners {
-		if r.instance != nil {
-			out[i] = r.instance.Snapshot()
-		}
-	}
-	return out
-}
-
-// RestorePolicyState restores the per-runner adaptive state captured
-// by SnapshotPolicyState on the same fleet shape: the slice length and
-// the nil/non-nil pattern must match the fleet's runners exactly. A
-// failed restore leaves earlier runners restored — callers treat any
-// error as fatal for the replay, so partial application is harmless.
-func (f *Fleet) RestorePolicyState(snaps [][]byte) error {
-	if len(snaps) != len(f.runners) {
-		return fmt.Errorf("sim: policy state for %d runners cannot restore a fleet of %d", len(snaps), len(f.runners))
-	}
-	for i, snap := range snaps {
-		inst := f.runners[i].instance
-		switch {
-		case snap == nil && inst == nil:
-			// pure policy on both sides
-		case snap == nil:
-			return fmt.Errorf("sim: runner %d (%s) has adaptive state but the snapshot recorded none", i, f.runners[i].res.Collector)
-		case inst == nil:
-			return fmt.Errorf("sim: snapshot carries adaptive state for runner %d (%s) but its policy is pure", i, f.runners[i].res.Collector)
-		default:
-			if err := inst.Restore(snap); err != nil {
-				return fmt.Errorf("sim: runner %d (%s): restore policy state: %w", i, f.runners[i].res.Collector, err)
-			}
-		}
-	}
-	return nil
-}
-
 // Events returns the number of events the fleet has processed.
 func (f *Fleet) Events() int { return f.tape.events }
 
@@ -1456,6 +1418,7 @@ func (f *Fleet) FeedBatch(events []trace.Event) error {
 		return errFeedAfterFinish
 	}
 	if len(f.runners) == 0 {
+		f.tape.events += len(events)
 		return nil
 	}
 	tp, buf := f.tape, f.buf
@@ -1482,9 +1445,8 @@ func (f *Fleet) FeedBatch(events []trace.Event) error {
 		default:
 		}
 		// Event-count cadence: compaction never moves ordinals between
-		// a resolve and its applies, and the compaction schedule — hence
-		// the checkpoint watermark — is independent of batch and run
-		// boundaries.
+		// a resolve and its applies, and the compaction schedule is
+		// independent of batch and run boundaries.
 		due := tp.compact && tp.events-tp.lastCompactCheck >= tp.checkEvery
 		if !horizon && !due {
 			if n++; n == len(buf) {
@@ -1678,7 +1640,7 @@ func (f *Fleet) Finish() []*Result {
 
 // Check resolves events against a fresh tape with no runners, which
 // compacts as a replay's would, and returns the first trace defect a
-// replay would report, with the same text (clock regressions,
+// replay would report, the same *TraceError (clock regressions,
 // duplicate allocations, double frees, frees of unknown objects,
 // unknown kinds), or nil. Every replay of a trace that passes it gets
 // past resolve. Unlike trace.Validate, it accepts pointer stores that

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -60,17 +61,24 @@ func TestRunRejectsBadMode(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMalformedTraces: each trace defect is a *TraceError
+// naming the offending event and object.
 func TestRunRejectsMalformedTraces(t *testing.T) {
-	cases := [][]trace.Event{
-		{trace.Alloc(1, 8, 0), trace.Alloc(1, 8, 1)},               // dup alloc
-		{trace.Free(9, 0)},                                         // free unknown
-		{trace.Alloc(1, 8, 0), trace.Free(1, 1), trace.Free(1, 2)}, // double free
-		{trace.Alloc(1, 8, 10), trace.Alloc(2, 8, 5)},              // clock regression
-		{{Kind: trace.Kind(99)}},                                   // unknown kind
+	cases := []struct {
+		events []trace.Event
+		want   TraceError
+	}{
+		{[]trace.Event{trace.Alloc(1, 8, 0), trace.Alloc(1, 8, 1)}, TraceError{Event: 1, Object: 1, Defect: "duplicate allocation of object 1"}},
+		{[]trace.Event{trace.Free(9, 0)}, TraceError{Event: 0, Object: 9, Defect: "free of unknown object 9"}},
+		{[]trace.Event{trace.Alloc(1, 8, 0), trace.Free(1, 1), trace.Free(1, 2)}, TraceError{Event: 2, Object: 1, Defect: "double free of object 1"}},
+		{[]trace.Event{trace.Alloc(1, 8, 10), trace.Alloc(2, 8, 5)}, TraceError{Event: 1, Defect: "clock regressed"}},
+		{[]trace.Event{{Kind: trace.Kind(99)}}, TraceError{Event: 0, Defect: "unknown kind 99"}},
 	}
-	for i, events := range cases {
-		if _, err := Run(events, tinyConfig(core.Full{})); err == nil {
-			t.Errorf("case %d: malformed trace accepted", i)
+	for i, c := range cases {
+		_, err := Run(c.events, tinyConfig(core.Full{}))
+		var te *TraceError
+		if !errors.As(err, &te) || *te != c.want {
+			t.Errorf("case %d: error %#v, want %#v", i, err, &c.want)
 		}
 	}
 }

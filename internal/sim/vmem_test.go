@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/dtbgc/dtbgc/internal/core"
+	"github.com/dtbgc/dtbgc/internal/trace"
 	"github.com/dtbgc/dtbgc/internal/workload"
 )
 
@@ -12,6 +14,22 @@ func TestPageModelDisabledByDefault(t *testing.T) {
 	res := mustRun(t, events, tinyConfig(core.Full{}))
 	if res.PageFaults != 0 || res.PageAccesses != 0 {
 		t.Fatal("page counters nonzero without PageFrames")
+	}
+}
+
+// TestPageModelMemoryFollowsTouchedPages: a resident set of 2^20
+// frames costs memory for the pages a run touches, not for its
+// capacity.
+func TestPageModelMemoryFollowsTouchedPages(t *testing.T) {
+	events := []trace.Event{trace.Alloc(1, 64, 0), trace.Free(1, 1)}
+	cfg := tinyConfig(core.Full{})
+	cfg.PageFrames = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mustRun(t, events, cfg)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+		t.Fatalf("a two-event run with %d frames allocated %d bytes", cfg.PageFrames, grew)
 	}
 }
 

@@ -33,7 +33,9 @@ type node struct {
 }
 
 // New returns a model with the given page size and resident-set
-// capacity in frames. It panics on non-positive arguments.
+// capacity in frames. It panics on non-positive arguments. The page
+// map grows with the pages touched, so a large capacity costs memory
+// only once a trace fills it.
 func New(pageBytes uint64, frames int) *Model {
 	if pageBytes == 0 || frames <= 0 {
 		panic("vmem: New requires positive page size and frame count")
@@ -41,7 +43,7 @@ func New(pageBytes uint64, frames int) *Model {
 	return &Model{
 		pageBytes: pageBytes,
 		frames:    frames,
-		nodes:     make(map[uint64]*node, frames+1),
+		nodes:     make(map[uint64]*node),
 	}
 }
 

@@ -7,10 +7,7 @@
 // whose stream for a given seed is not guaranteed across versions.
 package xrand
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // splitmix64 advances a 64-bit state and returns the next output.
 // It is used both as a standalone generator for seeding and as the
@@ -43,23 +40,6 @@ func New(seed uint64) *Rand {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
 	return r
-}
-
-// State returns the generator's internal state, for checkpointing a
-// deterministic computation mid-stream. Restore the exact sequence
-// position with SetState.
-func (r *Rand) State() [4]uint64 { return r.s }
-
-// SetState replaces the generator's internal state with one previously
-// captured by State. The all-zero state is rejected: xoshiro256**
-// would emit only zeros from it, and State can never return it (New
-// guards against it at seeding).
-func (r *Rand) SetState(s [4]uint64) error {
-	if s[0]|s[1]|s[2]|s[3] == 0 {
-		return errors.New("xrand: SetState: all-zero state is not a valid xoshiro256** state")
-	}
-	r.s = s
-	return nil
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
