@@ -13,10 +13,10 @@
 //	dtbsim -policy full -trace events.dtbt -resume 2 -inject read-err@64k
 //
 // The run is streamed through the replay engine: a generated workload
-// is emitted event by event and a trace file is decoded event by
-// event, so memory use is bounded by the simulated heap, not the
-// trace length. Interrupting the process (Ctrl-C) cancels the replay
-// at the next event boundary.
+// is emitted event by event and a trace file is decoded a fixed-size
+// batch at a time, so memory use is bounded by the simulated heap,
+// not the trace length. Interrupting the process (Ctrl-C) cancels the
+// replay at the next batch boundary.
 //
 // -audit attaches the invariant auditor (internal/audit) to the run;
 // any breach of the paper's per-scavenge identities is printed to

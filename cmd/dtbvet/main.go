@@ -14,18 +14,13 @@
 //	dtbvet -only errsink ./...    # run a subset
 //	dtbvet -json ./...            # machine-readable report on stdout
 //	dtbvet -selftest              # mutation check: every analyzer must fire on its fixture
-//	dtbvet -writebaseline ./...   # re-record the accepted-findings baseline
-//
-// Findings are compared against the committed baseline
-// (dtbvet_baseline.json at the module root, override with -baseline):
-// new findings fail the build, and so do baseline entries that no
-// longer fire — drift must be resolved by deleting the entry or
-// deliberately re-recording.
 //
 // Exit status is 0 when the module is clean, 1 when diagnostics were
-// reported, 2 on a load or usage error. Intentional exceptions are
-// annotated at the offending line with a scoped, reasoned
-// `//dtbvet:ignore <analyzer>[,analyzer...] -- <reason>`.
+// reported, 2 on a load or usage error. Every finding fails the run.
+// The one way to accept one is a scoped, reasoned
+// `//dtbvet:ignore <analyzer>[,analyzer...] -- <reason>` at the
+// offending line; an ignore that no longer suppresses anything is
+// itself reported, so accepted findings cannot go stale.
 package main
 
 import (
@@ -38,16 +33,10 @@ import (
 	"github.com/dtbgc/dtbgc/internal/analysis"
 )
 
-// defaultBaseline is the committed ledger of accepted findings,
-// relative to the module root.
-const defaultBaseline = "dtbvet_baseline.json"
-
 func main() {
 	list := flag.Bool("list", false, "describe the analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := flag.Bool("json", false, "write the findings as JSON on stdout")
-	baselinePath := flag.String("baseline", "", "baseline file (default: <module>/"+defaultBaseline+")")
-	writeBaseline := flag.Bool("writebaseline", false, "re-record the baseline from the current findings and exit")
 	selftest := flag.Bool("selftest", false, "run the mutation self-test: every analyzer must fire on its fixture")
 	flag.Parse()
 
@@ -119,25 +108,6 @@ func main() {
 	}
 
 	diags := analysis.RunAnalyzers(pkgs, analyzers)
-
-	path := *baselinePath
-	if path == "" {
-		path = filepath.Join(root, defaultBaseline)
-	}
-	if *writeBaseline {
-		if err := analysis.WriteBaseline(path, root, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbvet:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("dtbvet: recorded %d finding(s) in %s\n", len(diags), path)
-		return
-	}
-	baseline, err := analysis.LoadBaseline(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dtbvet:", err)
-		os.Exit(2)
-	}
-	diags = baseline.Apply(root, diags)
 
 	if *jsonOut {
 		if err := analysis.WriteJSON(os.Stdout, root, diags); err != nil {

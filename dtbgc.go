@@ -176,8 +176,8 @@ func Simulate(events []Event, opts SimOptions) (*Result, error) {
 }
 
 // SimulateStream runs a collector over a binary trace streamed from r
-// (as written by WriteTrace), decoding events one at a time so memory
-// use is bounded by the simulated heap, not the trace length.
+// (as written by WriteTrace), decoding it a fixed-size chunk at a time
+// so memory use is bounded by the simulated heap, not the trace length.
 func SimulateStream(r io.Reader, opts SimOptions) (*Result, error) {
 	return sim.RunReader(trace.NewReader(r), opts.config())
 }
@@ -196,27 +196,53 @@ type EventSource = engine.Source
 func SliceSource(events []Event) EventSource { return engine.SliceSource(events) }
 
 // StreamSource adapts a binary trace stream (as written by WriteTrace)
-// to an EventSource; events decode one at a time, so replaying an
-// arbitrarily long capture uses memory bounded by the simulated
-// heaps.
-func StreamSource(r io.Reader) EventSource { return engine.EventReaderSource(trace.NewReader(r)) }
+// to an EventSource; events decode a fixed-size batch at a time, so
+// replaying an arbitrarily long capture uses memory bounded by the
+// simulated heaps.
+func StreamSource(r io.Reader) EventSource { return readerSource(trace.NewReader(r)) }
 
-// DropStats is the recovery decoder's accounting of what a damaged
+// readerSource adapts a decoder, strict or recovering, to a per-event
+// EventSource: it decodes through ReadBatch into a fixed buffer and
+// emits each batch event by event, the events decoded before a
+// failure first. It stays per-event because EventSource and a fault
+// plan's event offsets are.
+func readerSource(rd *trace.Reader) EventSource {
+	return func(emit func(Event) error) error {
+		buf := make([]Event, 1024)
+		for {
+			n, err := rd.ReadBatch(buf)
+			for _, e := range buf[:n] {
+				if eerr := emit(e); eerr != nil {
+					return eerr
+				}
+			}
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// DropStats is the recovering decoder's accounting of what a damaged
 // trace lost: typed drop counts plus the exact bytes skipped. The zero
 // value means the stream decoded completely.
 type DropStats = trace.DropStats
 
 // RecoveringSource adapts a possibly damaged binary trace stream to an
-// EventSource using the recovery decoder: corrupt records are resynced
-// past and a torn file tail is absorbed instead of failing the replay.
-// Nothing is dropped silently — the second return value reports the
+// EventSource, decoding it as StreamSource does but in the decoder's
+// recovering mode: corrupt records are resynced past and a torn file
+// tail is absorbed instead of failing the replay. Nothing is dropped
+// silently — the second return value reports the
 // exact accounting, final once the source has been consumed — and the
 // caller is expected to surface it (TelemetryWriter.Drops,
 // Auditor.NoteDrops). The strict StreamSource remains the default for
 // data whose integrity matters.
 func RecoveringSource(r io.Reader) (EventSource, func() DropStats) {
-	rr := trace.NewRecoveringReader(r)
-	return engine.EventReaderSource(rr), rr.Drops
+	rd := trace.NewRecoveringReader(r)
+	return readerSource(rd), rd.Drops
 }
 
 // ReplayAll is the single-pass fan-out at the heart of the evaluation

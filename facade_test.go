@@ -2,7 +2,11 @@ package dtbgc
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -32,6 +36,68 @@ func TestSimulateStreamMatchesSimulate(t *testing.T) {
 func TestSimulateStreamRejectsGarbage(t *testing.T) {
 	if _, err := SimulateStream(strings.NewReader("not a trace"), SimOptions{NoGC: true}); err == nil {
 		t.Fatal("garbage input accepted")
+	}
+}
+
+// TestReaderSourcesMatchSliceSource: StreamSource and RecoveringSource
+// decode in fixed batches and emit event by event. Over a clean stream
+// both replay bit-identically to SliceSource. Over a torn one
+// StreamSource fails, and RecoveringSource replays the complete
+// records and reports the tail it dropped.
+func TestReaderSourcesMatchSliceSource(t *testing.T) {
+	events := WorkloadByName("CFRAC").Scale(0.1).MustGenerate()
+	if len(events) < 4096 {
+		t.Fatalf("%d events do not span several decode batches", len(events))
+	}
+	opts := []SimOptions{
+		{Policy: FullPolicy(), TriggerBytes: 64 * 1024},
+		{Policy: DtbFMPolicy(8 * 1024), TriggerBytes: 64 * 1024},
+		{NoGC: true},
+	}
+	replay := func(src EventSource, want []*Result, what string) {
+		t.Helper()
+		got, err := ReplayAll(context.Background(), src, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s replays differently from SliceSource", what)
+		}
+	}
+	want, err := ReplayAll(context.Background(), SliceSource(events), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	enc := buf.Bytes()
+	replay(StreamSource(bytes.NewReader(enc)), want, "StreamSource")
+	src, drops := RecoveringSource(bytes.NewReader(enc))
+	replay(src, want, "RecoveringSource")
+	if d := drops(); d.Any() {
+		t.Fatalf("clean stream: RecoveringSource dropped %v", d)
+	}
+
+	// Cut one byte off the final record.
+	last := len(events) - 1
+	var prefix bytes.Buffer
+	if err := WriteTrace(&prefix, events[:last]); err != nil {
+		t.Fatal(err)
+	}
+	torn := enc[:len(enc)-1]
+	if _, err := ReplayAll(context.Background(), StreamSource(bytes.NewReader(torn)), opts); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("torn stream: StreamSource error %v, want io.ErrUnexpectedEOF", err)
+	}
+	wantTorn, err := ReplayAll(context.Background(), SliceSource(events[:last]), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, drops = RecoveringSource(bytes.NewReader(torn))
+	replay(src, wantTorn, "RecoveringSource over a torn stream")
+	if d, want := drops(), (DropStats{TornTail: 1, BytesDropped: uint64(len(torn) - prefix.Len())}); d != want {
+		t.Fatalf("torn stream: drops %v, want %v", d, want)
 	}
 }
 

@@ -218,6 +218,21 @@ func TestBareDirectiveReported(t *testing.T) {
 	}
 }
 
+// TestStaleIgnoreReported: an ignore directive whose analyzer ran and
+// suppressed nothing is itself reported, so an accepted finding cannot
+// outlive its fix; one whose analyzer did not run is not provably
+// stale and stays quiet.
+func TestStaleIgnoreReported(t *testing.T) {
+	pkg := loadFixture(t, "staleignore")
+	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{Determinism})
+	if len(diags) != 1 || diags[0].Analyzer != metaAnalyzer || !strings.Contains(diags[0].Message, "stale //dtbvet:ignore: determinism") {
+		t.Fatalf("want one stale-directive diagnostic, got %v", diags)
+	}
+	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{ErrSink}); len(diags) != 0 {
+		t.Fatalf("a directive for an analyzer that did not run was reported: %v", diags)
+	}
+}
+
 func TestErrSinkPositive(t *testing.T) {
 	if diags := checkFixture(t, "errsinkbad", ErrSink); len(diags) == 0 {
 		t.Fatal("errsink reported nothing on the bad fixture")
@@ -337,68 +352,6 @@ func TestParseIgnore(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip pins the ledger semantics: covered findings
-// are filtered, new findings pass through, and stale entries surface
-// as drift.
-func TestBaselineRoundTrip(t *testing.T) {
-	root := t.TempDir()
-	mk := func(file, analyzer, msg string) Diagnostic {
-		return Diagnostic{
-			Pos:      token.Position{Filename: filepath.Join(root, file), Line: 7},
-			Analyzer: analyzer, Severity: SeverityError, Message: msg,
-		}
-	}
-	recorded := []Diagnostic{
-		mk("a/a.go", "errsink", "close discarded"),
-		mk("b/b.go", "floatexact", "== on float64"),
-	}
-	path := filepath.Join(root, "baseline.json")
-	if err := WriteBaseline(path, root, recorded); err != nil {
-		t.Fatalf("WriteBaseline: %v", err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-
-	// Same findings: fully covered, nothing reported.
-	if out := b.Apply(root, recorded); len(out) != 0 {
-		t.Fatalf("recorded findings not covered by their own baseline: %v", out)
-	}
-
-	// One covered, one new, one baseline entry gone stale.
-	now := []Diagnostic{
-		mk("a/a.go", "errsink", "close discarded"),
-		mk("c/c.go", "leakcheck", "orphan goroutine"),
-	}
-	out := b.Apply(root, now)
-	if len(out) != 2 {
-		t.Fatalf("want the new finding plus one drift diagnostic, got %v", out)
-	}
-	var sawNew, sawDrift bool
-	for _, d := range out {
-		if d.Analyzer == "leakcheck" {
-			sawNew = true
-		}
-		if d.Analyzer == metaAnalyzer && strings.Contains(d.Message, "baseline drift") &&
-			strings.Contains(d.Message, "b/b.go") {
-			sawDrift = true
-		}
-	}
-	if !sawNew || !sawDrift {
-		t.Fatalf("missing expected outputs: %v", out)
-	}
-
-	// A missing baseline file is an empty baseline.
-	empty, err := LoadBaseline(filepath.Join(root, "nope.json"))
-	if err != nil {
-		t.Fatalf("LoadBaseline(missing): %v", err)
-	}
-	if out := empty.Apply(root, now); len(out) != len(now) {
-		t.Fatalf("empty baseline should pass findings through, got %v", out)
-	}
-}
-
 // TestWriteJSONGolden pins the -json contract byte for byte.
 func TestWriteJSONGolden(t *testing.T) {
 	root := string(filepath.Separator) + filepath.Join("mod")
@@ -467,16 +420,7 @@ func TestModuleClean(t *testing.T) {
 	if tests == 0 {
 		t.Fatal("LoadModuleWithTests loaded no test packages; the test walk is broken")
 	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := LoadBaseline(filepath.Join(root, "dtbvet_baseline.json"))
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	diags := baseline.Apply(root, RunAnalyzers(pkgs, All()))
-	for _, d := range diags {
+	for _, d := range RunAnalyzers(pkgs, All()) {
 		t.Errorf("%s", d)
 	}
 }

@@ -3,6 +3,8 @@ package analysis
 import (
 	"encoding/json"
 	"io"
+	"path/filepath"
+	"strings"
 )
 
 // JSONDiagnostic is the machine-readable rendering of one finding —
@@ -46,4 +48,14 @@ func severityOrDefault(s Severity) Severity {
 		return SeverityError
 	}
 	return s
+}
+
+// RelPath renders path module-relative with forward slashes, or
+// returns it unchanged when it lies outside root.
+func RelPath(root, path string) string {
+	rel, err := filepath.Rel(root, path)
+	if err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+		return filepath.ToSlash(path)
+	}
+	return filepath.ToSlash(rel)
 }

@@ -76,5 +76,6 @@ func selfTestFixtures() []selfTestFixture {
 		{"leakbad/internal/engine", "leakcheck"},
 		{"leakgood/internal/engine", ""},
 		{"baredirective", metaAnalyzer},
+		{"staleignore", metaAnalyzer},
 	}
 }

@@ -107,6 +107,29 @@ func (c *cancelReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// readerEvents adapts a decoder to a per-event source: it decodes
+// through ReadBatch and emits event by event, the events decoded
+// before a failure first.
+func readerEvents(rd *trace.Reader) engine.Source {
+	return func(emit func(trace.Event) error) error {
+		buf := make([]trace.Event, 64)
+		for {
+			n, err := rd.ReadBatch(buf)
+			for _, e := range buf[:n] {
+				if eerr := emit(e); eerr != nil {
+					return eerr
+				}
+			}
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+}
+
 // prefixThenFail emits events in zero-copy batches, then fails with
 // err: a batch-native source that decoded exactly events before its
 // failure.
@@ -153,7 +176,7 @@ func interrupted(t *testing.T, events []trace.Event, enc []byte, k, interrupt, s
 		case interruptCancel:
 			perEvent = fault.NewPlan(fault.Fault{Kind: fault.Cancel, Offset: uint64(k)}).Source(engine.SliceSource(events), cancel)
 		default:
-			perEvent = engine.EventReaderSource(trace.NewReader(bytes.NewReader(cut)))
+			perEvent = readerEvents(trace.NewReader(bytes.NewReader(cut)))
 		}
 		if shape == shapeBatching {
 			batches = engine.BatchingSource(perEvent)

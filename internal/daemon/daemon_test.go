@@ -531,6 +531,7 @@ func TestEvalBadRequests(t *testing.T) {
 		{Workload: "CFRAC", Policy: "full", Scale: -1},
 		{Workload: "CFRAC", Policy: "full", PageFrames: -1},
 		{Workload: "CFRAC", Policy: "full", PageFrames: 64, PageBytes: 1},
+		{Workload: "CFRAC", Scale: 0.01, Policy: "full", PageFrames: maxPageFrames + 1},
 		{Workload: "CFRAC", Policy: "bandit:eps=0.1,arms=4194304"},
 		{Workload: "CFRAC", Policy: "full", DeadlineMs: -5},
 		// Pauses past the float range: 500 "json: unsupported value".

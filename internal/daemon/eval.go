@@ -136,6 +136,12 @@ func (e *ErrUnknownTrace) Error() string {
 // minPageBytes is the smallest page size a request may set.
 const minPageBytes = 512
 
+// maxPageFrames is the largest page_frames a request may set. The vmem
+// model holds about 96 B per touched page until its page map reaches
+// the frame count, so the cap bounds that map at about 6 MiB (a
+// 256 MiB resident set at 4 KB pages).
+const maxPageFrames = 1 << 16
+
 // normalize validates the request and rewrites it in place into its
 // canonical form; it is the only place a request is parsed, and any
 // error it returns is the client's (HTTP 400). The CLI defaults are
@@ -143,7 +149,10 @@ const minPageBytes = 512
 // policy, Workload the profile's own Name and TraceDigest lowercase
 // hex. The parsed policy, digest and scaled profile are kept for
 // config and evaluate. Two spellings of one evaluation normalize to
-// equal requests, and so to one memo key.
+// equal requests, and so to one memo key. Requests that would let one
+// evaluation take unbounded memory are refused: page_frames may not
+// exceed maxPageFrames (65536) and page_bytes may not be below
+// minPageBytes (512).
 func (r *EvalRequest) normalize() error {
 	if (r.Workload == "") == (r.TraceDigest == "") {
 		return errors.New("exactly one of workload or trace must be set")
@@ -201,6 +210,9 @@ func (r *EvalRequest) normalize() error {
 	}
 	if r.PageFrames < 0 {
 		return fmt.Errorf("page_frames %d cannot be negative", r.PageFrames)
+	}
+	if r.PageFrames > maxPageFrames {
+		return fmt.Errorf("page_frames %d exceeds the limit of %d", r.PageFrames, maxPageFrames)
 	}
 	// Smaller pages would let the vmem page map grow with nearly every
 	// byte a trace touches.

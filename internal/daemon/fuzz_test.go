@@ -179,3 +179,64 @@ func replayFresh(t *testing.T, upload []byte, req EvalRequest) (int, EvalRespons
 	}
 	return rec.Code, resp
 }
+
+// FuzzTraceUpload drives the upload boundary with arbitrary bytes: any
+// body posted to /v1/traces answers 2xx or 4xx, never 5xx or a panic.
+// An accepted trace then replays under every policy class with a 2xx
+// answer: full, dtbfm:50k and the nogc and live baselines compact on
+// sim.Check's event-count cadence, so they meet no birth-bucket span
+// the upload's check did not. A nogc run with page_frames set keeps
+// every object's page address and cannot compact, so it may run past
+// that span: it may answer 422, never 5xx.
+func FuzzTraceUpload(f *testing.F) {
+	encode := func(events []trace.Event) []byte {
+		var buf bytes.Buffer
+		if err := dtbgc.WriteTrace(&buf, events); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ghost := encode(dtbgc.WorkloadByName("GHOST(1)").Scale(0.005).MustGenerate())
+	f.Add(ghost)
+	f.Add(encode([]trace.Event{trace.Alloc(1, 32, 10), trace.Free(1, 20), trace.Free(1, 30)})) // double free: 422
+	f.Add(encode([]trace.Event{trace.Alloc(1, 1<<40, 0), trace.Free(1, 1)}))                   // wide allocation: 422
+	f.Add(ghost[:len(ghost)-1])                                                                // torn tail: 400
+	f.Add([]byte("garbage, not a trace"))                                                      // bad magic: 400
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := NewServer(Config{Workers: 1}).Handler()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/traces", bytes.NewReader(data)))
+		if rec.Code < 200 || rec.Code >= 500 {
+			t.Fatalf("upload: HTTP %d: %s", rec.Code, rec.Body)
+		}
+		if rec.Code >= 300 {
+			return
+		}
+		var info TraceInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+			t.Fatalf("decoding upload response: %v", err)
+		}
+		for _, ev := range []struct {
+			req    EvalRequest
+			may422 bool
+		}{
+			{EvalRequest{TraceDigest: info.Digest, Policy: "full"}, false},
+			{EvalRequest{TraceDigest: info.Digest, Policy: "dtbfm:50k"}, false},
+			{EvalRequest{TraceDigest: info.Digest, Baseline: "nogc"}, false},
+			{EvalRequest{TraceDigest: info.Digest, Baseline: "live"}, false},
+			// 1 MiB pages keep the page model cheap on allocations the
+			// upload check lets reach tens of gigabytes.
+			{EvalRequest{TraceDigest: info.Digest, Baseline: "nogc", PageFrames: 16, PageBytes: 1 << 20}, true},
+		} {
+			body, err := json.Marshal(ev.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/eval", bytes.NewReader(body)))
+			if rec.Code/100 != 2 && !(ev.may422 && rec.Code == http.StatusUnprocessableEntity) {
+				t.Fatalf("eval %s of an accepted upload: HTTP %d: %s", body, rec.Code, rec.Body)
+			}
+		}
+	})
+}

@@ -40,33 +40,6 @@ func SliceSource(events []trace.Event) Source {
 	}
 }
 
-// EventReader is the pull-style decoder shape: Read returns the next
-// event or io.EOF at a clean end. Both trace.Reader and
-// trace.RecoveringReader satisfy it.
-type EventReader interface {
-	Read() (trace.Event, error)
-}
-
-// EventReaderSource adapts any pull-style decoder to a Source: events
-// decode one at a time, so memory use is bounded by the simulated
-// heaps, not the trace length.
-func EventReaderSource(rd EventReader) Source {
-	return func(emit func(trace.Event) error) error {
-		for {
-			e, err := rd.Read()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if err := emit(e); err != nil {
-				return err
-			}
-		}
-	}
-}
-
 // replayBatchEvents is the batch granularity of the replay hot path:
 // the number of events decoded, delivered to the fleet, and covered by
 // one cancellation check. Large enough to amortize the per-batch costs
@@ -113,12 +86,13 @@ func SliceBatchSource(events []trace.Event) BatchSource {
 	}
 }
 
-// ReaderBatchSource adapts the strict trace decoder to a BatchSource
-// using Reader.ReadBatch, which decodes each record straight from its
-// input window into a reused buffer: one decoder call per batch, not
-// per event. The loop runs on a second goroutine, decoding the next
-// batch into the second of two buffers while emit applies the current
-// one (see pipelined). If the decoder fails mid-batch, the events it
+// ReaderBatchSource adapts a trace decoder, strict (trace.NewReader)
+// or recovering (trace.NewRecoveringReader), to a BatchSource using
+// Reader.ReadBatch, which decodes each record straight from its input
+// window into a reused buffer: one decoder call per batch, not per
+// event. The loop runs on a second goroutine, decoding the next batch
+// into the second of two buffers while emit applies the current one
+// (see pipelined). If the decoder fails mid-batch, the events it
 // decoded before the failure are emitted first.
 func ReaderBatchSource(rd *trace.Reader) BatchSource {
 	return pipelined(context.Background(), func(buf []trace.Event, handoff handoffFunc) ([]trace.Event, error) {

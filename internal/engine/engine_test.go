@@ -95,8 +95,8 @@ func TestReplaySingleSourcePass(t *testing.T) {
 	}
 }
 
-// TestReaderSource checks the streaming decode path produces the same
-// results as the in-memory path.
+// TestReaderSource checks the streaming decode path, over a strict and
+// a recovering reader, produces the same results as the in-memory path.
 func TestReaderSource(t *testing.T) {
 	events := testEvents(t)
 	var buf bytes.Buffer
@@ -108,12 +108,20 @@ func TestReaderSource(t *testing.T) {
 	if err != nil {
 		t.Fatalf("slice replay: %v", err)
 	}
-	fromReader, err := Replay(context.Background(), EventReaderSource(trace.NewReader(&buf)), cfgs)
-	if err != nil {
-		t.Fatalf("reader replay: %v", err)
-	}
-	if !reflect.DeepEqual(fromSlice, fromReader) {
-		t.Error("streaming replay differs from in-memory replay")
+	for _, rd := range []*trace.Reader{
+		trace.NewReader(bytes.NewReader(buf.Bytes())),
+		trace.NewRecoveringReader(bytes.NewReader(buf.Bytes())),
+	} {
+		fromReader, err := ReplayBatches(context.Background(), ReaderBatchSource(rd), cfgs)
+		if err != nil {
+			t.Fatalf("reader replay: %v", err)
+		}
+		if !reflect.DeepEqual(fromSlice, fromReader) {
+			t.Error("streaming replay differs from in-memory replay")
+		}
+		if rd.Drops().Any() {
+			t.Errorf("clean stream reported drops: %v", rd.Drops())
+		}
 	}
 }
 

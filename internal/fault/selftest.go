@@ -243,7 +243,7 @@ func checkSourceErr(events []trace.Event) (*Plan, error) {
 	plan := NewPlan(Fault{Kind: SourceErr, Offset: uint64(len(events) / 2)})
 	var tel bytes.Buffer
 	cfgs := replayConfigs(sim.NewTelemetryWriter(&tel))
-	src := engine.Source(plan.Source(engine.SliceSource(events), nil))
+	src := plan.Source(engine.SliceSource(events), nil)
 	_, cp, err := engine.ReplayResumable(context.Background(), src, cfgs)
 	if !errors.Is(err, ErrInjected) {
 		return plan, fmt.Errorf("interrupted replay returned %v, want the injected source error", err)
@@ -253,7 +253,7 @@ func checkSourceErr(events []trace.Event) (*Plan, error) {
 	}
 	// The fault is spent, so re-wrapping models reopening the source
 	// after a transient failure: the second pass is clean.
-	got, cp, err := cp.Resume(context.Background(), engine.Source(plan.Source(engine.SliceSource(events), nil)))
+	got, cp, err := cp.Resume(context.Background(), plan.Source(engine.SliceSource(events), nil))
 	if err != nil || cp != nil {
 		return plan, fmt.Errorf("resume: %v (checkpoint %v)", err, cp)
 	}
@@ -274,7 +274,7 @@ func checkCancel(events []trace.Event) (*Plan, error) {
 	plan := NewPlan(Fault{Kind: Cancel, Offset: 100})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	src := engine.Source(plan.Source(engine.SliceSource(events), cancel))
+	src := plan.Source(engine.SliceSource(events), cancel)
 	_, cp, err := engine.ReplayResumable(ctx, src, replayConfigs(nil))
 	if !errors.Is(err, context.Canceled) {
 		return plan, fmt.Errorf("cancelled replay returned %v, want context.Canceled", err)
@@ -282,7 +282,7 @@ func checkCancel(events []trace.Event) (*Plan, error) {
 	if cp == nil {
 		return plan, errors.New("cancellation between events offered no checkpoint")
 	}
-	got, cp, err := cp.Resume(context.Background(), engine.Source(plan.Source(engine.SliceSource(events), func() {})))
+	got, cp, err := cp.Resume(context.Background(), plan.Source(engine.SliceSource(events), func() {}))
 	if err != nil || cp != nil {
 		return plan, fmt.Errorf("resume under a fresh context: %v (checkpoint %v)", err, cp)
 	}

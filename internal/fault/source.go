@@ -1,12 +1,9 @@
 package fault
 
-import "github.com/dtbgc/dtbgc/internal/trace"
-
-// EventStream is the event-source signature shared with
-// engine.Source: emit every event in order, stop at the first emit
-// error. It is redeclared here (identical underlying type, so values
-// convert freely) to keep this package free of an engine dependency.
-type EventStream = func(emit func(trace.Event) error) error
+import (
+	"github.com/dtbgc/dtbgc/internal/engine"
+	"github.com/dtbgc/dtbgc/internal/trace"
+)
 
 // Source wraps an event source with the plan's event-indexed faults:
 // SourceErr fails the stream after its event offset, and Cancel
@@ -14,7 +11,7 @@ type EventStream = func(emit func(trace.Event) error) error
 // the stream itself continuing until the consumer's next context
 // check aborts it. A nil cancel is allowed when no Cancel fault is
 // scheduled.
-func (p *Plan) Source(src EventStream, cancel func()) EventStream {
+func (p *Plan) Source(src engine.Source, cancel func()) engine.Source {
 	if p == nil {
 		return src
 	}

@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics used throughout the
 // dynamic-threatening-boundary evaluation: means, maxima, percentiles,
-// time-weighted averages over step functions, and simple histograms.
+// time-weighted averages over step functions, and time series.
 //
 // The paper reports mean and maximum memory use (Table 2), median and
 // 90th-percentile pause times (Table 3), and total traced bytes with
@@ -14,59 +14,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Summary accumulates count, sum, min and max of a stream of values.
-// The zero value is an empty summary ready for use.
-type Summary struct {
-	n        int
-	sum      float64
-	min, max float64
-}
-
-// Add records one observation.
-func (s *Summary) Add(v float64) {
-	if s.n == 0 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
-	}
-	s.n++
-	s.sum += v
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
-// Sum returns the sum of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
-
-// Mean returns the arithmetic mean, or 0 for an empty summary.
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// Min returns the smallest observation, or 0 for an empty summary.
-func (s *Summary) Min() float64 {
-	return s.min
-}
-
-// Max returns the largest observation, or 0 for an empty summary.
-func (s *Summary) Max() float64 {
-	return s.max
-}
-
-// String renders the summary for debugging output.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f min=%.2f max=%.2f", s.n, s.Mean(), s.min, s.max)
-}
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of values
 // using linear interpolation between closest ranks, the method most
@@ -247,53 +194,6 @@ func (w *Weighted) Mean() float64 {
 
 // Max returns the largest observed value.
 func (w *Weighted) Max() float64 { return w.max }
-
-// Histogram counts values into fixed-width buckets starting at zero,
-// with an overflow bucket for values at or beyond the top.
-type Histogram struct {
-	Width   float64 // bucket width; must be > 0
-	buckets []int
-	over    int
-	n       int
-}
-
-// NewHistogram returns a histogram with nbuckets buckets of the given
-// width. It panics if width <= 0 or nbuckets <= 0.
-func NewHistogram(width float64, nbuckets int) *Histogram {
-	if width <= 0 || nbuckets <= 0 {
-		panic("stats: NewHistogram requires positive width and bucket count")
-	}
-	return &Histogram{Width: width, buckets: make([]int, nbuckets)}
-}
-
-// Add counts one value. Negative values go into bucket 0.
-func (h *Histogram) Add(v float64) {
-	h.n++
-	if v < 0 {
-		h.buckets[0]++
-		return
-	}
-	// Compare in float space first: converting a huge quotient to int
-	// is undefined-ish (wraps negative on amd64).
-	q := v / h.Width
-	if q >= float64(len(h.buckets)) {
-		h.over++
-		return
-	}
-	h.buckets[int(q)]++
-}
-
-// N returns the total number of values added.
-func (h *Histogram) N() int { return h.n }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// Overflow returns the count of values beyond the last bucket.
-func (h *Histogram) Overflow() int { return h.over }
-
-// NumBuckets returns the number of regular buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
 
 // Point is one sample of a time series.
 type Point struct {

@@ -54,7 +54,7 @@ func (w *Writer) header() error {
 }
 
 // Write encodes one event. An event it rejects (a clock regression, an
-// unknown kind, or a mark label longer than the decoders accept)
+// unknown kind, or a mark label longer than the decoder accepts)
 // writes nothing and leaves the clock and Count as they were, so the
 // events written around it still form a valid trace.
 func (w *Writer) Write(e Event) error {
@@ -113,9 +113,9 @@ func (w *Writer) Flush() error {
 	return w.w.Flush()
 }
 
-// byteWindow is the input both binary decoders read through: buf holds
-// the stream read so far in chunks, and buf[start:end] is the part not
-// yet decoded. Records are decoded in place from it by decodeRecord.
+// byteWindow is the input a Reader reads through: buf holds the stream
+// read so far in chunks, and buf[start:end] is the part not yet
+// decoded. Records are decoded in place from it by decodeRecord.
 // The buffer is allocated once, at windowSize, and doubles only when a
 // single record is longer than it (a mark label, at most maxLabel
 // bytes).
@@ -182,8 +182,8 @@ func (w *byteWindow) fill() error {
 	return io.ErrNoProgress
 }
 
-// header reads and checks the magic; both decoders call it until hdr
-// is set. It is strict for both: recovery never invents a stream
+// header reads and checks the magic; ReadBatch calls it until hdr is
+// set. It is strict in both modes: recovery never invents a stream
 // identity.
 func (w *byteWindow) header() error {
 	for w.end-w.start < len(binaryMagic) {
@@ -274,9 +274,8 @@ func decodeRecord(e *Event, b []byte, lastInstr uint64) (int, error) {
 
 // unknownKindError reports a record whose kind byte names no event
 // kind. Being a byte, it converts to an error without allocating, so
-// the recovering reader, which meets one at nearly every byte it
-// resyncs past, allocates nothing there; the text is built only when
-// printed.
+// a recovering reader, which meets one at nearly every byte it resyncs
+// past, allocates nothing there; the text is built only when printed.
 type unknownKindError byte
 
 func (e unknownKindError) Error() string {
@@ -284,7 +283,7 @@ func (e unknownKindError) Error() string {
 }
 
 // labelLengthError reports a mark label longer than maxLabel, from the
-// decoders and from Writer.Write alike.
+// decoder and from Writer.Write alike.
 func labelLengthError(n uint64) error {
 	return fmt.Errorf("trace: mark label length %d exceeds limit", n)
 }
@@ -316,38 +315,35 @@ func decodeMark(e *Event, b []byte, lastInstr uint64) (int, error) {
 
 // Reader decodes events from the binary format. It reads its input in
 // chunks into a byte window and decodes each record in place from
-// there; RecoveringReader shares the window and the record decoder and
-// differs only in what it does with a record that does not decode.
+// there. A strict Reader (NewReader) stops at the first record that
+// does not decode; a recovering one (NewRecoveringReader) resyncs past
+// it. The two differ only in ReadBatch's failure branches.
 type Reader struct {
 	in        byteWindow
 	lastInstr uint64
-	one       [1]Event // Read's batch
+	recover   bool      // resync past damage instead of failing
+	drops     DropStats // what recovery discarded; zero when strict
+	inSkip    bool      // a resync episode is open
 }
 
-// NewReader returns a Reader decoding from r. It reads ahead of the
-// records it has returned by up to one window (32 KB), as a
+// NewReader returns a strict Reader decoding from r. It reads ahead of
+// the records it has returned by up to one window (32 KB), as a
 // bufio.Reader reads ahead by its buffer size.
 func NewReader(r io.Reader) *Reader {
 	return &Reader{in: byteWindow{r: r}}
 }
 
-// Read decodes the next event. It returns io.EOF at a clean end of
-// stream. It is a one-event ReadBatch.
-func (r *Reader) Read() (Event, error) {
-	if _, err := r.ReadBatch(r.one[:]); err != nil {
-		return Event{}, err
-	}
-	return r.one[0], nil
-}
-
 // ReadBatch decodes up to len(dst) events into dst and returns how
 // many it filled. A short count with a nil error means the stream
 // ended cleanly mid-batch; the next call returns (0, io.EOF). On a
-// decode error the events before the failure are returned alongside
-// it: io.ErrUnexpectedEOF when the stream ends inside a record. The
-// records are decoded straight from the input window into dst, and the
-// window is refilled only when it runs dry, so the batched replay
-// engine feeds from this loop.
+// failure the events before it are returned alongside the error. A
+// strict reader fails on a record that does not decode, and with
+// io.ErrUnexpectedEOF on a stream that ends inside a record; a
+// recovering reader resyncs past the first and drops the second, so
+// only a read error or a damaged header fails it. The records are
+// decoded straight from the input window into dst, and the window is
+// refilled only when it runs dry, so the batched replay engine feeds
+// from this loop.
 //
 //dtbvet:hotpath one call per replay batch, decoding the whole frame
 func (r *Reader) ReadBatch(dst []Event) (int, error) {
@@ -359,21 +355,41 @@ func (r *Reader) ReadBatch(dst []Event) (int, error) {
 	n := 0
 	for {
 		m, err := r.decode(dst[n:])
-		n += m
+		if m > 0 {
+			n += m
+			r.closeEpisode()
+		}
+		if err == nil {
+			return n, nil
+		}
 		if err != errShortRecord {
-			return n, err
+			if !r.recover {
+				return n, err
+			}
+			r.skipByte()
+			continue
 		}
 		switch err := r.in.fill(); {
 		case err == nil:
+			continue
 		case err != io.EOF:
 			return n, err
-		case r.in.start < r.in.end:
-			return n, io.ErrUnexpectedEOF // the stream ended inside a record
-		case n == 0:
-			return 0, io.EOF
-		default:
-			return n, nil
+		case r.in.start < r.in.end: // the stream ended inside a record
+			if !r.recover {
+				return n, io.ErrUnexpectedEOF
+			}
+			if r.inSkip {
+				// A shorter record may still decode from a later start.
+				r.skipByte()
+				continue
+			}
+			r.dropTail()
 		}
+		r.closeEpisode()
+		if n == 0 {
+			return 0, io.EOF
+		}
+		return n, nil
 	}
 }
 
@@ -394,11 +410,11 @@ func (r *Reader) decode(dst []Event) (int, error) {
 	return n, err
 }
 
-// ReadAll decodes the remainder of the stream, batch by batch into the
-// spare capacity of the slice it returns. The slice grows as append
-// grows it one event at a time, so a caller that keeps the events
-// (dtbd caches uploaded traces) holds no more spare capacity than
-// append would leave.
+// ReadAll decodes the remainder of the stream, in either mode, batch by
+// batch into the spare capacity of the slice it returns. The slice
+// grows as append grows it one event at a time, so a caller that keeps
+// the events (dtbd caches uploaded traces) holds no more spare
+// capacity than append would leave.
 func (r *Reader) ReadAll() ([]Event, error) {
 	var events []Event
 	for {

@@ -288,9 +288,9 @@ func BenchmarkBinaryDecode(b *testing.B) {
 	}
 }
 
-// TestReadBatchMatchesRead pins ReadBatch to the sequential Read path:
-// for every batch size, including 1 and larger than the trace, the
-// concatenated batches must equal the event-at-a-time decode, a short
+// TestReadBatchMatchesRead pins ReadBatch to the encoded trace: for
+// every batch size, including 1 and larger than the trace, the
+// concatenated batches must equal the events written, a short
 // final batch must carry a nil error, and the call after the clean end
 // must return (0, io.EOF).
 func TestReadBatchMatchesRead(t *testing.T) {
@@ -330,7 +330,7 @@ func TestReadBatchMatchesRead(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(got, events) {
-			t.Errorf("size %d: ReadBatch decode differs from Read decode:\n got %v\nwant %v", size, got, events)
+			t.Errorf("size %d: ReadBatch decode differs from the events written:\n got %v\nwant %v", size, got, events)
 		}
 	}
 }
@@ -417,7 +417,7 @@ func TestRejectedWriteLeavesStreamUntouched(t *testing.T) {
 	}
 }
 
-// TestReadErrorsAfterDeliveredRecords: both decoders decode the records
+// TestReadErrorsAfterDeliveredRecords: both modes decode the records
 // a source delivered before it failed, then report the failure — a
 // read error that arrives together with bytes, or io.ErrNoProgress for
 // a source that keeps returning (0, nil) — and never spin.
@@ -469,18 +469,18 @@ func TestDecodeAllocsIndependentOfLength(t *testing.T) {
 				}
 			}
 		}},
-		{"Read", func(data []byte) {
+		{"one-event ReadBatch", func(data []byte) {
 			rd := NewReader(bytes.NewReader(data))
 			for {
-				if _, err := rd.Read(); err != nil {
+				if _, err := rd.ReadBatch(dst[:1]); err != nil {
 					return
 				}
 			}
 		}},
-		{"RecoveringReader", func(data []byte) {
+		{"recovering one-event ReadBatch", func(data []byte) {
 			rd := NewRecoveringReader(bytes.NewReader(data))
 			for {
-				if _, err := rd.Read(); err != nil {
+				if _, err := rd.ReadBatch(dst[:1]); err != nil {
 					return
 				}
 			}
@@ -533,10 +533,11 @@ func TestRecoveryResyncDoesNotAllocate(t *testing.T) {
 	read := func(garbage int) float64 {
 		data := append(bytes.Clone(binaryMagic), bytes.Repeat([]byte{0xFF}, garbage)...)
 		data = append(data, records...)
+		dst := make([]Event, 1)
 		return testing.AllocsPerRun(5, func() {
 			rd := NewRecoveringReader(bytes.NewReader(data))
 			for {
-				if _, err := rd.Read(); err != nil {
+				if _, err := rd.ReadBatch(dst); err != nil {
 					return
 				}
 			}

@@ -1,7 +1,5 @@
 package trace
 
-import "fmt"
-
 // Forward-pointer analysis for §4.2 of the paper: the dynamic
 // threatening boundary collector must remember ALL forward-in-time
 // pointers (stores where the source object is older than the new
@@ -28,14 +26,18 @@ func (f ForwardStats) ForwardFraction() float64 {
 	return float64(f.Forward) / float64(n)
 }
 
-// MeasureForward computes forward-pointer statistics for a well-formed
-// trace. Object age is position in allocation order (the allocation
-// clock), matching the collector's notion of birth time.
+// MeasureForward computes forward-pointer statistics for a trace,
+// which must pass Validate: a trace that does not fails with
+// Validate's error. Object age is position in allocation order (the
+// allocation clock), matching the collector's notion of birth time.
 func MeasureForward(events []Event) (ForwardStats, error) {
 	var fs ForwardStats
+	if err := Validate(events); err != nil {
+		return fs, err
+	}
 	birth := make(map[ObjectID]int)
 	seq := 0
-	for i, e := range events {
+	for _, e := range events {
 		switch e.Kind {
 		case KindAlloc:
 			seq++
@@ -48,12 +50,7 @@ func MeasureForward(events []Event) (ForwardStats, error) {
 				fs.NilStore++
 				continue
 			}
-			bs, ok1 := birth[e.ID]
-			bt, ok2 := birth[e.Target]
-			if !ok1 || !ok2 {
-				return fs, fmtErr(i, e)
-			}
-			switch {
+			switch bs, bt := birth[e.ID], birth[e.Target]; {
 			case bs < bt:
 				fs.Forward++
 			case bs > bt:
@@ -63,22 +60,7 @@ func MeasureForward(events []Event) (ForwardStats, error) {
 			}
 		case KindMark:
 			// Annotations carry no pointers.
-		default:
-			return fs, fmt.Errorf("trace: event %d: unknown kind %d", i, e.Kind)
 		}
 	}
 	return fs, nil
-}
-
-func fmtErr(i int, e Event) error {
-	return &forwardError{index: i, event: e}
-}
-
-type forwardError struct {
-	index int
-	event Event
-}
-
-func (e *forwardError) Error() string {
-	return "trace: pointer store " + e.event.String() + " references a dead object (event index unknown to oracle)"
 }

@@ -87,26 +87,17 @@ func (d *deliveryReader) Read(p []byte) (int, error) {
 	return n, io.EOF
 }
 
-// fuzzBatchSizes are the batch sizes FuzzReader decodes with; 0 means
-// one Read per event.
-var fuzzBatchSizes = []int{0, 1, 2, 3, 4, 5, 4096}
+// fuzzBatchSizes are the batch sizes the decoder fuzzers decode with.
+var fuzzBatchSizes = []int{1, 2, 3, 4, 5, 4096}
 
-// decodeAll drains rd in batches of size (per event when 0) and
-// returns the events decoded before the first error, and that error.
+// decodeAll drains rd in batches of size and returns the events
+// decoded before the first error, and that error.
 func decodeAll(t *testing.T, rd *Reader, size int) ([]Event, error) {
 	t.Helper()
 	var got []Event
-	dst := make([]Event, max(size, 1))
+	dst := make([]Event, size)
 	for {
-		var n int
-		var err error
-		if size == 0 {
-			if dst[0], err = rd.Read(); err == nil {
-				n = 1
-			}
-		} else {
-			n, err = rd.ReadBatch(dst)
-		}
+		n, err := rd.ReadBatch(dst)
 		got = append(got, dst[:n]...)
 		switch {
 		case err == io.EOF && n != 0:
@@ -119,9 +110,9 @@ func decodeAll(t *testing.T, rd *Reader, size int) ([]Event, error) {
 	}
 }
 
-// refDecodeAll drains the reference decoder event by event and returns
+// refDecodeAll drains a reference decoder event by event and returns
 // the events before its first error, and that error.
-func refDecodeAll(rd *refReader) ([]Event, error) {
+func refDecodeAll(rd interface{ Read() (Event, error) }) ([]Event, error) {
 	var got []Event
 	for {
 		e, err := rd.Read()
@@ -162,19 +153,19 @@ func FuzzReader(f *testing.F) {
 	long := good([]Event{Alloc(1, 8, 0), Mark(strings.Repeat("L", windowSize+5000), 3), Free(1, 9)})
 	sample := good(sampleTrace())
 	for _, s := range []seed{
-		{data: good(nil), batch: 6},
-		{data: good([]Event{Alloc(1, 64, 0), Free(1, 5)}), reads: []byte{2}, batch: 1},
+		{data: good(nil), batch: 5},
+		{data: good([]Event{Alloc(1, 64, 0), Free(1, 5)}), reads: []byte{2}, batch: 0},
 		{data: good([]Event{Mark("m", 1), PtrWrite(1, 2, 3, 4)}), reads: []byte{0}},
-		{data: []byte("DTBT\x01\xff\xff\xff"), batch: 5},
-		{data: []byte("garbage"), batch: 2},
-		{data: long, reads: []byte{62, 6}, batch: 4},                                  // a label longer than the window
-		{data: long, reads: []byte{63}, batch: 3, mode: deliverError, at: windowSize}, // read error mid-label
-		{data: continuation(9), batch: 6},                                             // io.ErrUnexpectedEOF
-		{data: continuation(10), batch: 6},                                            // overflow
-		{data: continuation(11), reads: []byte{3}, batch: 1},                          // overflow
-		{data: sample, reads: []byte{4}, batch: 6, mode: deliverStall, at: 13},        // (0, nil) forever: io.ErrNoProgress
-		{data: sample, reads: []byte{4}, batch: 2, mode: deliverError, at: 13},        // the error arrives with bytes
-		{data: sample, reads: []byte{9}, batch: 6, mode: deliverEOFWith},
+		{data: []byte("DTBT\x01\xff\xff\xff"), batch: 4},
+		{data: []byte("garbage"), batch: 1},
+		{data: long, reads: []byte{62, 6}, batch: 3},                                  // a label longer than the window
+		{data: long, reads: []byte{63}, batch: 2, mode: deliverError, at: windowSize}, // read error mid-label
+		{data: continuation(9), batch: 5},                                             // io.ErrUnexpectedEOF
+		{data: continuation(10), batch: 5},                                            // overflow
+		{data: continuation(11), reads: []byte{3}, batch: 0},                          // overflow
+		{data: sample, reads: []byte{4}, batch: 5, mode: deliverStall, at: 13},        // (0, nil) forever: io.ErrNoProgress
+		{data: sample, reads: []byte{4}, batch: 1, mode: deliverError, at: 13},        // the error arrives with bytes
+		{data: sample, reads: []byte{9}, batch: 5, mode: deliverEOFWith},
 	} {
 		f.Add(s.data, s.reads, s.batch, s.mode, s.at)
 	}
@@ -216,9 +207,15 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
-// FuzzRecoveringReader: recovery must terminate on any input (resync
-// advances at least one byte per attempt), keep its drop accounting
-// exact, and salvage only well-formed traces.
+// FuzzRecoveringReader holds the recovering ReadBatch to the per-event
+// reference loop (refRecoveringReader): on any input, delivered as
+// FuzzReader delivers it, with a read error or a stall at any offset,
+// and decoded in any batch size, both must return the same events, the
+// same drop accounting and the same error. It also checks what the
+// audit layer relies on: recovery terminates on any input (resync
+// advances at least one byte per attempt), fails a stream that
+// delivers cleanly only at its header, keeps its drop accounting
+// consistent, and salvages only well-formed traces.
 func FuzzRecoveringReader(f *testing.F) {
 	good := func(events []Event) []byte {
 		var buf bytes.Buffer
@@ -228,24 +225,59 @@ func FuzzRecoveringReader(f *testing.F) {
 		return buf.Bytes()
 	}
 	clean := good([]Event{Alloc(1, 64, 0), PtrWrite(1, 0, 2, 3), Mark("m", 5), Free(1, 9)})
-	f.Add(clean)
-	f.Add(clean[:len(clean)-2])                      // torn tail
-	f.Add(append(clean[:8], clean[10:]...))          // bytes cut mid-stream
-	f.Add(append(good(nil), 0xFF, 0xFF, 0x01, 0x02)) // garbage body
-	f.Add([]byte("DTBT\x01"))                        // header only
-	f.Add([]byte("garbage"))                         // damaged header
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rr := NewRecoveringReader(bytes.NewReader(data))
-		events, err := rr.ReadAll()
-		if err != nil {
-			// Only the strict header check may fail on an in-memory
-			// stream; content damage must always be recovered past.
-			if len(data) >= len(binaryMagic) && bytes.Equal(data[:len(binaryMagic)], binaryMagic) {
+	type seed struct {
+		data  []byte
+		reads []byte
+		batch uint8
+		mode  uint8
+		at    uint32
+	}
+	for _, s := range []seed{
+		{data: clean},
+		{data: clean[:len(clean)-2], batch: 5}, // torn tail
+		{data: append(clean[:8:8], clean[10:]...), reads: []byte{2}, batch: 1}, // bytes cut mid-stream
+		{data: append(good(nil), 0xFF, 0xFF, 0x01, 0x02), batch: 2},            // garbage body
+		{data: append(good(nil), 0xFF, 0x01, 0x05, 0x80), reads: []byte{0}},    // garbage, then a record torn off
+		{data: []byte("DTBT\x01"), batch: 4},                                   // header only
+		{data: []byte("garbage"), batch: 3},                                    // damaged header
+		{data: clean, reads: []byte{3}, batch: 1, mode: deliverError, at: 9},   // the error arrives with bytes
+		{data: clean, reads: []byte{4}, batch: 5, mode: deliverStall, at: 11},  // (0, nil) forever: io.ErrNoProgress
+		{data: clean[:len(clean)-1], reads: []byte{7}, batch: 2, mode: deliverEOFWith},
+	} {
+		f.Add(s.data, s.reads, s.batch, s.mode, s.at)
+	}
+	f.Fuzz(func(t *testing.T, data, reads []byte, batch, mode uint8, at uint32) {
+		d := deliveryReader{data: data, reads: reads, mode: int(mode) % deliveryModes, at: int(at % uint32(len(data)+1))}
+		ref := d
+		rr := newRefRecoveringReader(&ref)
+		want, werr := refDecodeAll(rr)
+		rd := NewRecoveringReader(&d)
+		events, err := decodeAll(t, rd, fuzzBatchSizes[int(batch)%len(fuzzBatchSizes)])
+		drops := rd.Drops()
+		if len(events) != len(want) {
+			t.Fatalf("decoded %d events, reference %d (errors %v / %v)", len(events), len(want), err, werr)
+		}
+		for i := range events {
+			if events[i] != want[i] {
+				t.Fatalf("event %d: %+v, reference %+v", i, events[i], want[i])
+			}
+		}
+		if drops != rr.drops {
+			t.Fatalf("drops %v, reference %v", drops, rr.drops)
+		}
+		if err.Error() != werr.Error() {
+			t.Fatalf("after %d events: error %q, reference %q", len(events), err, werr)
+		}
+		if err != io.EOF {
+			// Only the strict header check may fail a stream that
+			// delivers cleanly; content damage must always be
+			// recovered past.
+			clean := d.mode == deliverPlain || d.mode == deliverEOFWith
+			if clean && len(data) >= len(binaryMagic) && bytes.Equal(data[:len(binaryMagic)], binaryMagic) {
 				t.Fatalf("recovery failed on a well-headed stream: %v", err)
 			}
 			return
 		}
-		drops := rr.Drops()
 		// The accounting invariants the audit layer relies on.
 		if (drops.BytesDropped > 0) != drops.Any() {
 			t.Fatalf("inconsistent accounting: %+v", drops)
@@ -255,9 +287,6 @@ func FuzzRecoveringReader(f *testing.F) {
 		}
 		if body := uint64(len(data) - len(binaryMagic)); drops.BytesDropped > body {
 			t.Fatalf("dropped %d bytes from a %d-byte body", drops.BytesDropped, body)
-		}
-		if rr.Events() != len(events) {
-			t.Fatalf("Events()=%d but %d events decoded", rr.Events(), len(events))
 		}
 		// The clock is monotone even across resync gaps.
 		for i := 1; i < len(events); i++ {

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // LifetimeStats characterizes a trace's object demographics on the
 // allocation clock — the quantities the paper's lifetime arguments
@@ -107,11 +104,15 @@ func (ls *LifetimeStats) FreedFraction() float64 {
 	return float64(ls.FreedBytes) / float64(ls.TotalBytes)
 }
 
-// MeasureLifetimes computes lifetime statistics for a well-formed
-// trace. Ages are measured on the allocation clock: an object's
-// lifetime is the number of bytes allocated between its birth and its
-// free event, the paper's notion of object age.
+// MeasureLifetimes computes lifetime statistics for a trace, which must
+// pass Validate: a trace that does not fails with Validate's error.
+// Ages are measured on the allocation clock: an object's lifetime is
+// the number of bytes allocated between its birth and its free event,
+// the paper's notion of object age.
 func MeasureLifetimes(events []Event) (*LifetimeStats, error) {
+	if err := Validate(events); err != nil {
+		return nil, err
+	}
 	ls := &LifetimeStats{}
 	type birthRec struct {
 		clock uint64
@@ -119,28 +120,20 @@ func MeasureLifetimes(events []Event) (*LifetimeStats, error) {
 	}
 	births := make(map[ObjectID]birthRec)
 	var clock uint64
-	for i, e := range events {
+	for _, e := range events {
 		switch e.Kind {
 		case KindAlloc:
-			if _, dup := births[e.ID]; dup {
-				return nil, fmt.Errorf("trace: event %d: duplicate allocation of %d", i, e.ID)
-			}
 			clock += e.Size
 			births[e.ID] = birthRec{clock: clock, size: e.Size}
 			ls.TotalObjects++
 			ls.TotalBytes += e.Size
 		case KindFree:
-			b, ok := births[e.ID]
-			if !ok {
-				return nil, fmt.Errorf("trace: event %d: free of unknown object %d", i, e.ID)
-			}
+			b := births[e.ID]
 			delete(births, e.ID)
 			ls.FreedBytes += b.size
 			ls.lifetimes = append(ls.lifetimes, lifeSample{life: clock - b.clock, bytes: b.size})
 		case KindPtrWrite, KindMark:
 			// Pointer stores and annotations do not affect lifetimes.
-		default:
-			return nil, fmt.Errorf("trace: event %d: unknown kind %d", i, e.Kind)
 		}
 	}
 	for _, b := range births { //dtbvet:ignore determinism -- order-insensitive sum of surviving bytes

@@ -5,10 +5,13 @@ import (
 	"io"
 )
 
-// Recovery mode for the binary codec: a RecoveringReader decodes as
-// much of a damaged stream as it can instead of stopping at the first
-// bad byte, and accounts for every byte it gives up on. Two things are
-// non-negotiable:
+// Recovery mode for the binary codec: a Reader made by
+// NewRecoveringReader decodes as much of a damaged stream as it can
+// instead of stopping at the first bad byte, and accounts for every
+// byte it gives up on. It is the strict Reader's ReadBatch with two
+// failure branches changed: a record that does not decode is resynced
+// past one byte at a time, and a stream that ends inside a record
+// loses its tail. Two things are non-negotiable:
 //
 //   - Exact accounting. Every input byte after the header is either
 //     part of a decoded record or counted in DropStats.BytesDropped —
@@ -76,114 +79,41 @@ func (d DropStats) String() string {
 	return fmt.Sprintf("%s, %d byte(s) dropped", s, d.BytesDropped)
 }
 
-// RecoveringReader decodes the binary format with recovery: corrupt
-// records are resynced past and a torn tail is absorbed, both counted
-// in Drops. It reads through the same byte window and record decoder
-// as Reader and differs only where a record does not decode: Reader
-// returns the error, RecoveringReader resyncs. Use it where a partial
-// answer over a damaged capture beats no answer — and always surface
-// Drops; the strict Reader remains the default for data whose
-// integrity matters.
-type RecoveringReader struct {
-	in        byteWindow
-	lastInstr uint64
-	drops     DropStats
-	inSkip    bool // mid resync-episode
-	events    int
+// NewRecoveringReader returns a Reader that decodes r with recovery:
+// where a strict Reader would fail, ReadBatch resyncs past a record
+// that does not decode and drops a torn tail, counting both in Drops.
+// Use it where a partial answer over a damaged capture beats no answer
+// — and always surface Drops; the strict NewReader remains the default
+// for data whose integrity matters. Like NewReader, it reads ahead by
+// up to one window.
+func NewRecoveringReader(r io.Reader) *Reader {
+	return &Reader{in: byteWindow{r: r}, recover: true}
 }
 
-// NewRecoveringReader returns a recovery-mode decoder for r. Like
-// NewReader, it reads ahead by up to one window.
-func NewRecoveringReader(r io.Reader) *RecoveringReader {
-	return &RecoveringReader{in: byteWindow{r: r}}
-}
-
-// Drops returns the accounting so far; final once Read has returned
-// io.EOF.
-func (r *RecoveringReader) Drops() DropStats { return r.drops }
-
-// Events returns the number of events decoded so far.
-func (r *RecoveringReader) Events() int { return r.events }
+// Drops returns what recovery has discarded so far; final once
+// ReadBatch has returned io.EOF. A strict Reader drops nothing, so its
+// Drops is always zero.
+func (r *Reader) Drops() DropStats { return r.drops }
 
 // skipByte abandons one window byte as part of a resync episode.
-func (r *RecoveringReader) skipByte() {
+func (r *Reader) skipByte() {
 	r.inSkip = true
 	r.drops.BytesDropped++
 	r.in.start++
 }
 
 // closeEpisode ends a resync episode, if one is open.
-func (r *RecoveringReader) closeEpisode() {
+func (r *Reader) closeEpisode() {
 	if r.inSkip {
 		r.inSkip = false
 		r.drops.CorruptRecords++
 	}
 }
 
-// Read decodes the next recoverable event. io.EOF is the clean end:
-// by then Drops holds the final accounting. Errors other than io.EOF
-// are real I/O failures from the underlying reader (or a damaged
-// header) — recovery absorbs damaged content, not a failing disk.
-func (r *RecoveringReader) Read() (Event, error) {
-	if !r.in.hdr {
-		if err := r.in.header(); err != nil {
-			return Event{}, err
-		}
-	}
-	for {
-		var e Event
-		n, err := decodeRecord(&e, r.in.bytes(), r.lastInstr)
-		switch {
-		case err == nil:
-			r.closeEpisode()
-			r.in.start += n
-			r.lastInstr = e.Instr
-			r.events++
-			return e, nil
-		case err == errShortRecord:
-			ferr := r.in.fill()
-			if ferr == nil {
-				continue
-			}
-			if ferr != io.EOF {
-				return Event{}, ferr
-			}
-			// The stream ended inside this record. If we were already
-			// resyncing, keep sliding: a shorter record might still
-			// decode from a later start. Otherwise this is the torn
-			// tail: drop the remainder in one accounted bite.
-			rest := r.in.end - r.in.start
-			if r.inSkip && rest > 0 {
-				r.skipByte()
-				continue
-			}
-			if rest > 0 {
-				r.drops.TornTail++
-				r.drops.BytesDropped += uint64(rest)
-				r.in.start = r.in.end
-			}
-			r.closeEpisode()
-			return Event{}, io.EOF
-		default:
-			// Corrupt bytes at the window start: resync one byte at a
-			// time. Progress is guaranteed — each attempt consumes a
-			// byte — so recovery terminates on any input.
-			r.skipByte()
-		}
-	}
-}
-
-// ReadAll decodes the remainder of the stream with recovery.
-func (r *RecoveringReader) ReadAll() ([]Event, error) {
-	var events []Event
-	for {
-		e, err := r.Read()
-		if err == io.EOF {
-			return events, nil
-		}
-		if err != nil {
-			return events, err
-		}
-		events = append(events, e)
-	}
+// dropTail drops the rest of a stream that ended inside a record, in
+// one accounted bite.
+func (r *Reader) dropTail() {
+	r.drops.TornTail++
+	r.drops.BytesDropped += uint64(r.in.end - r.in.start)
+	r.in.start = r.in.end
 }

@@ -48,7 +48,7 @@ func recoverAll(t *testing.T, data []byte) ([]Event, DropStats) {
 	rr := NewRecoveringReader(bytes.NewReader(data))
 	events, err := rr.ReadAll()
 	if err != nil {
-		t.Fatalf("RecoveringReader.ReadAll: %v", err)
+		t.Fatalf("recovering ReadAll: %v", err)
 	}
 	return events, rr.Drops()
 }
@@ -165,11 +165,11 @@ func TestRecoverAllGarbageTerminates(t *testing.T) {
 
 func TestRecoverHeaderStaysStrict(t *testing.T) {
 	rr := NewRecoveringReader(bytes.NewReader([]byte("NOTATRACE")))
-	if _, err := rr.Read(); err == nil || !bytes.Contains([]byte(err.Error()), []byte("magic")) {
+	if _, err := rr.ReadBatch(make([]Event, 1)); err == nil || !bytes.Contains([]byte(err.Error()), []byte("magic")) {
 		t.Fatalf("damaged magic: got %v, want ErrBadMagic", err)
 	}
 	rr = NewRecoveringReader(bytes.NewReader(nil))
-	if _, err := rr.Read(); err == nil || err == io.EOF {
+	if _, err := rr.ReadBatch(make([]Event, 1)); err == nil || err == io.EOF {
 		t.Fatalf("empty stream: got %v, want a bad-magic error", err)
 	}
 }
@@ -203,14 +203,14 @@ func TestRecoveredStreamReencodesCanonically(t *testing.T) {
 }
 
 // Satellite regression: a header-only stream (what Writer.Flush emits
-// for an empty trace) is a clean empty trace for both decoders, not a
+// for an empty trace) is a clean empty trace in both modes, not a
 // truncation error.
 func TestHeaderOnlyStreamIsCleanEmptyTrace(t *testing.T) {
 	headerOnly := encode(t, nil)
 
 	sr := NewReader(bytes.NewReader(headerOnly))
-	if _, err := sr.Read(); err != io.EOF {
-		t.Fatalf("strict Read on header-only stream: %v, want io.EOF", err)
+	if _, err := sr.ReadBatch(make([]Event, 1)); err != io.EOF {
+		t.Fatalf("strict ReadBatch on header-only stream: %v, want io.EOF", err)
 	}
 	events, err := NewReader(bytes.NewReader(headerOnly)).ReadAll()
 	if err != nil || len(events) != 0 {
@@ -218,8 +218,8 @@ func TestHeaderOnlyStreamIsCleanEmptyTrace(t *testing.T) {
 	}
 
 	rr := NewRecoveringReader(bytes.NewReader(headerOnly))
-	if _, err := rr.Read(); err != io.EOF {
-		t.Fatalf("recovering Read on header-only stream: %v, want io.EOF", err)
+	if _, err := rr.ReadBatch(make([]Event, 1)); err != io.EOF {
+		t.Fatalf("recovering ReadBatch on header-only stream: %v, want io.EOF", err)
 	}
 	if rr.Drops().Any() {
 		t.Fatalf("header-only stream reported drops: %+v", rr.Drops())

@@ -113,3 +113,82 @@ func refUnexpectedEOF(err error) error {
 	}
 	return err
 }
+
+// refRecoveringReader is the recovering decoder as it was before
+// recovery became a mode of Reader.ReadBatch: one event per Read call,
+// through the same byte window and record decoder, with the resync and
+// the torn-tail drop written out event by event.
+// FuzzRecoveringReader holds the recovering ReadBatch to it event for
+// event, drop for drop and error for error.
+type refRecoveringReader struct {
+	in        byteWindow
+	lastInstr uint64
+	drops     DropStats
+	inSkip    bool // mid resync-episode
+}
+
+func newRefRecoveringReader(r io.Reader) *refRecoveringReader {
+	return &refRecoveringReader{in: byteWindow{r: r}}
+}
+
+func (r *refRecoveringReader) skipByte() {
+	r.inSkip = true
+	r.drops.BytesDropped++
+	r.in.start++
+}
+
+func (r *refRecoveringReader) closeEpisode() {
+	if r.inSkip {
+		r.inSkip = false
+		r.drops.CorruptRecords++
+	}
+}
+
+// Read decodes the next recoverable event, or returns io.EOF at the
+// end of the stream, when drops is final.
+func (r *refRecoveringReader) Read() (Event, error) {
+	if !r.in.hdr {
+		if err := r.in.header(); err != nil {
+			return Event{}, err
+		}
+	}
+	for {
+		var e Event
+		n, err := decodeRecord(&e, r.in.bytes(), r.lastInstr)
+		switch {
+		case err == nil:
+			r.closeEpisode()
+			r.in.start += n
+			r.lastInstr = e.Instr
+			return e, nil
+		case err == errShortRecord:
+			ferr := r.in.fill()
+			if ferr == nil {
+				continue
+			}
+			if ferr != io.EOF {
+				return Event{}, ferr
+			}
+			// The stream ended inside this record. If we were already
+			// resyncing, keep sliding: a shorter record might still
+			// decode from a later start. Otherwise this is the torn
+			// tail: drop the remainder in one accounted bite.
+			rest := r.in.end - r.in.start
+			if r.inSkip && rest > 0 {
+				r.skipByte()
+				continue
+			}
+			if rest > 0 {
+				r.drops.TornTail++
+				r.drops.BytesDropped += uint64(rest)
+				r.in.start = r.in.end
+			}
+			r.closeEpisode()
+			return Event{}, io.EOF
+		default:
+			// Corrupt bytes at the window start: resync one byte at a
+			// time.
+			r.skipByte()
+		}
+	}
+}

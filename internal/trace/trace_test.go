@@ -132,6 +132,38 @@ func TestStatsMarksCounted(t *testing.T) {
 	}
 }
 
+// TestWalkersValidateFirst: MeasureForward, MeasureLifetimes and Window
+// measure only a trace Validate accepts, and fail any other with
+// Validate's own error, event index included.
+func TestWalkersValidateFirst(t *testing.T) {
+	walkers := []struct {
+		name string
+		walk func([]Event) error
+	}{
+		{"MeasureForward", func(ev []Event) error { _, err := MeasureForward(ev); return err }},
+		{"MeasureLifetimes", func(ev []Event) error { _, err := MeasureLifetimes(ev); return err }},
+		{"Window", func(ev []Event) error { _, err := Window(ev, 2, 100); return err }},
+	}
+	for _, defect := range []struct {
+		events []Event
+		want   string
+	}{
+		{[]Event{Alloc(1, 8, 0), Alloc(2, 8, 1), Alloc(1, 8, 2), PtrWrite(1, 0, 2, 3)}, "event 2: trace: duplicate allocation of object 1"},
+		{[]Event{Alloc(1, 8, 0), Alloc(2, 8, 1), Free(2, 2), PtrWrite(1, 0, 2, 3)}, "event 3: trace: pointer store to dead or unknown target 2"},
+		{[]Event{Alloc(1, 8, 10), Alloc(2, 8, 5), Free(1, 3)}, "event 1: trace: instruction clock regressed 10 -> 5"},
+		{[]Event{Alloc(1, 8, 1), Alloc(1, 16, 2), Free(1, 3)}, "event 1: trace: duplicate allocation of object 1"},
+	} {
+		if err := Validate(defect.events); err == nil || err.Error() != defect.want {
+			t.Fatalf("Validate(%v) = %v, want %q", defect.events, err, defect.want)
+		}
+		for _, w := range walkers {
+			if err := w.walk(defect.events); err == nil || err.Error() != defect.want {
+				t.Errorf("%s(%v) = %v, want %q", w.name, defect.events, err, defect.want)
+			}
+		}
+	}
+}
+
 func TestBuilderProducesValidTrace(t *testing.T) {
 	b := NewBuilder()
 	a := b.Alloc(100)

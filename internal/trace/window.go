@@ -18,10 +18,14 @@ import (
 //
 // Windowing lets long captures be studied piecewise: the warm-up of a
 // trace can be skipped, or one program phase isolated, while the
-// result still passes Validate.
+// result still passes Validate. The input must pass Validate too: a
+// trace that does not fails with Validate's error.
 func Window(events []Event, from, to uint64) ([]Event, error) {
 	if to < from {
 		return nil, fmt.Errorf("trace: Window with to < from")
+	}
+	if err := Validate(events); err != nil {
+		return nil, err
 	}
 
 	// Pass 1: liveness at the window start.
@@ -40,14 +44,9 @@ func Window(events []Event, from, to uint64) ([]Event, error) {
 			pre[e.ID] = preObj{id: e.ID, size: e.Size, order: order}
 			order++
 		case KindFree:
-			if _, ok := pre[e.ID]; !ok {
-				return nil, fmt.Errorf("trace: event %d frees unknown object %d", i, e.ID)
-			}
 			delete(pre, e.ID)
 		case KindPtrWrite, KindMark:
 			// Neither affects pre-window liveness.
-		default:
-			return nil, fmt.Errorf("trace: event %d: unknown kind %d", i, e.Kind)
 		}
 	}
 
