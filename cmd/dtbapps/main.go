@@ -9,35 +9,23 @@
 //	dtbapps espresso [-problems N] [-vars V] [-cubes C] [-seed S] [-o trace.dtbt]
 //	dtbapps sis     [-gates N] [-latches L] [-vectors V] [-seed S] [-o trace.dtbt]
 //	dtbapps cfrac   [-n NUMBER] [-o trace.dtbt]
-//	dtbapps eval    [-progress] [-workers N] [-trigger BYTES] [-memmax BYTES] [-tracemax BYTES]
 //
-// The eval subcommand runs the full app-driven evaluation matrix
-// (every mini-application's trace under all six collectors plus the
-// baselines) and prints the paper's tables; -progress streams a
-// human progress/summary line per run to stderr while it works.
-// Apps are scheduled on a bounded worker pool (-workers, default
-// GOMAXPROCS) and Ctrl-C cancels the evaluation at the next event
-// boundary. -cpuprofile/-memprofile write pprof profiles of the
-// evaluation for `go tool pprof`.
+// `dtbtables -apps` runs the evaluation over these applications'
+// traces.
 //
-// Every output path is checked through to Close — a full disk fails
-// the command with a non-zero exit instead of leaving a silently
-// truncated trace — and profile stops run on failure paths too. The
-// trace-writing subcommands and eval take -inject SPEC to schedule
+// Every output is checked through to Close — a full disk fails the
+// command with a non-zero exit instead of leaving a silently
+// truncated trace. Each subcommand takes -inject SPEC to schedule
 // deterministic I/O faults (see internal/fault). Exit status: 0
 // success, 1 operational failure, 2 usage error.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
 
 	dtbgc "github.com/dtbgc/dtbgc"
 	"github.com/dtbgc/dtbgc/internal/apps/cfrac"
@@ -59,11 +47,7 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) error {
 	if len(args) < 1 {
-		return cliio.Usagef("usage: dtbapps {ghost|espresso|sis|cfrac|eval} [flags]")
-	}
-
-	if args[0] == "eval" {
-		return runEval(args[1:], stdout, stderr)
+		return cliio.Usagef("usage: dtbapps {ghost|espresso|sis|cfrac} [flags]")
 	}
 
 	var events []trace.Event
@@ -162,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			summary = fmt.Sprintf("cfrac: %s = %s * %s", *n, f1, f2)
 		}
 	default:
-		return cliio.Usagef("usage: dtbapps {ghost|espresso|sis|cfrac|eval} [flags]")
+		return cliio.Usagef("usage: dtbapps {ghost|espresso|sis|cfrac} [flags]")
 	}
 	if err != nil {
 		return err
@@ -175,79 +159,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	return cliio.WriteTo(out, stdout, plan, func(w io.Writer) error {
 		return dtbgc.WriteTrace(w, events)
-	})
-}
-
-// runEval is the app-driven evaluation: each mini-application's
-// recorded trace replayed under all six collectors plus the
-// baselines, with optional live progress reporting. It returns through
-// a single error path so the CPU profile stops — and its file's close
-// is checked — on failures too.
-func runEval(args []string, stdout, stderr io.Writer) (err error) {
-	fs := newFlagSet("eval", stderr)
-	progress := fs.Bool("progress", false, "stream per-run progress and summaries to stderr")
-	workers := fs.Int("workers", 0, "apps evaluated concurrently (0 = GOMAXPROCS)")
-	trigger := fs.Uint64("trigger", 0, "scavenge trigger in bytes (default 64 KB)")
-	memMax := fs.Uint64("memmax", 0, "DTBMEM memory constraint in bytes (default 256 KB)")
-	traceMax := fs.Uint64("tracemax", 0, "FEEDMED/DTBFM trace budget in bytes (default 16 KB)")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the evaluation to FILE")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile taken after the evaluation to FILE")
-	inject := fs.String("inject", "", "schedule deterministic I/O faults on the outputs (see internal/fault)")
-	if err := parseArgs(fs, args); err != nil {
-		return err
-	}
-	plan, err := injectPlan(*inject)
-	if err != nil {
-		return err
-	}
-
-	opts := dtbgc.AppEvalOptions{
-		TriggerBytes:  *trigger,
-		MemMaxBytes:   *memMax,
-		TraceMaxBytes: *traceMax,
-		Workers:       *workers,
-	}
-	if *progress {
-		opts.Probe = dtbgc.NewProgressReporter(stderr)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	if *cpuprofile != "" {
-		profOut, perr := cliio.Create(*cpuprofile, nil, plan)
-		if perr != nil {
-			return perr
-		}
-		if perr := pprof.StartCPUProfile(profOut); perr != nil {
-			//dtbvet:ignore errsink -- cleanup after StartCPUProfile failed: perr wins and nothing was written yet
-			profOut.Close()
-			return perr
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if cerr := profOut.Close(); err == nil {
-				err = cerr
-			}
-		}()
-	}
-	ev, err := dtbgc.RunAppEvaluationContext(ctx, opts)
-	if err != nil {
-		return err
-	}
-	if *memprofile != "" {
-		err := cliio.WriteTo(*memprofile, nil, plan, func(w io.Writer) error {
-			runtime.GC() // settle allocations so the profile shows retained heap
-			return pprof.WriteHeapProfile(w)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return cliio.WriteTo("", stdout, plan, func(w io.Writer) error {
-		fmt.Fprintln(w, ev.Table2())
-		fmt.Fprintln(w, ev.Table3())
-		fmt.Fprintln(w, ev.Table4())
-		return nil
 	})
 }
 

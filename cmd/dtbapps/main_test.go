@@ -34,7 +34,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"ghost", "-no-such-flag"},
 		{"ghost", "-doc", "novel"},
 		{"espresso", "-inject", "bogus@1"},
-		{"eval", "-no-such-flag"},
+		{"eval"}, // not a subcommand: dtbtables -apps runs the app evaluation
 	} {
 		if _, _, code := app(t, args...); code != 2 {
 			t.Errorf("args %v: exit %d, want 2", args, code)

@@ -51,8 +51,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 
 	dtbgc "github.com/dtbgc/dtbgc"
 	"github.com/dtbgc/dtbgc/internal/cliio"
@@ -194,27 +192,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *cpuprofile != "" {
-		profOut, perr := cliio.Create(*cpuprofile, nil, plan)
-		if perr != nil {
-			return perr
-		}
-		if perr := pprof.StartCPUProfile(profOut); perr != nil {
-			//dtbvet:ignore errsink -- cleanup after StartCPUProfile failed: perr wins and nothing was written yet
-			profOut.Close()
-			return perr
-		}
-		// Deferred, not called inline before the error checks: the
-		// profile must stop and its file close-check must run on the
-		// failure paths too.
-		defer func() {
-			pprof.StopCPUProfile()
-			if cerr := profOut.Close(); err == nil {
-				err = cerr
-			}
-		}()
-	}
-
 	// openSource (re)opens the event source for one replay attempt.
 	// Each attempt gets its own cancel so an injected cancellation
 	// storm kills only that attempt; a resume retries under a fresh
@@ -240,40 +217,45 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 
 	var results []*dtbgc.Result
 	var drops dtbgc.DropStats
-	var cp *dtbgc.Checkpoint
-	for attempt := 0; ; attempt++ {
-		runCtx, cancel := context.WithCancel(ctx)
-		src, dropsFn, closeFn, oerr := openSource(cancel)
-		if oerr != nil {
-			cancel()
-			return oerr
-		}
-		var rerr error
-		if cp == nil {
-			results, cp, rerr = dtbgc.ReplayAllResumable(runCtx, src, []dtbgc.SimOptions{opts})
-		} else {
-			results, cp, rerr = cp.Resume(runCtx, src)
-		}
-		if dropsFn != nil {
-			// The latest pass re-reads the stream from the top, so its
-			// accounting covers the whole stream and supersedes any
-			// interrupted pass's partial count.
-			drops = dropsFn()
-		}
-		if closeFn != nil {
-			if cerr := closeFn(); rerr == nil && cerr != nil {
-				rerr = cerr
+	err = cliio.Profile(*cpuprofile, *memprofile, plan, func() error {
+		var cp *dtbgc.Checkpoint
+		for attempt := 0; ; attempt++ {
+			runCtx, cancel := context.WithCancel(ctx)
+			src, dropsFn, closeFn, oerr := openSource(cancel)
+			if oerr != nil {
+				cancel()
+				return oerr
 			}
+			var rerr error
+			if cp == nil {
+				results, cp, rerr = dtbgc.ReplayAllResumable(runCtx, src, []dtbgc.SimOptions{opts})
+			} else {
+				results, cp, rerr = cp.Resume(runCtx, src)
+			}
+			if dropsFn != nil {
+				// The latest pass re-reads the stream from the top, so its
+				// accounting covers the whole stream and supersedes any
+				// interrupted pass's partial count.
+				drops = dropsFn()
+			}
+			if closeFn != nil {
+				if cerr := closeFn(); rerr == nil && cerr != nil {
+					rerr = cerr
+				}
+			}
+			cancel()
+			if rerr == nil {
+				return nil
+			}
+			if cp == nil || attempt >= *resume {
+				return fmt.Errorf("replay: %w", rerr)
+			}
+			fmt.Fprintf(stderr, "dtbsim: resuming after: %v (%d events processed, attempt %d of %d)\n",
+				rerr, cp.Events(), attempt+1, *resume)
 		}
-		cancel()
-		if rerr == nil {
-			break
-		}
-		if cp == nil || attempt >= *resume {
-			return fmt.Errorf("replay: %w", rerr)
-		}
-		fmt.Fprintf(stderr, "dtbsim: resuming after: %v (%d events processed, attempt %d of %d)\n",
-			rerr, cp.Events(), attempt+1, *resume)
+	})
+	if err != nil {
+		return err
 	}
 	res := results[0]
 
@@ -291,15 +273,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		auditor.NoteDrops(label, drops)
 	}
 
-	if *memprofile != "" {
-		err := cliio.WriteTo(*memprofile, nil, plan, func(w io.Writer) error {
-			runtime.GC() // settle allocations so the profile shows retained heap
-			return pprof.WriteHeapProfile(w)
-		})
-		if err != nil {
-			return err
-		}
-	}
 	if tw != nil {
 		if werr := tw.Err(); werr != nil {
 			return fmt.Errorf("writing telemetry: %w", werr)

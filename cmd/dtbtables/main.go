@@ -1,23 +1,29 @@
 // Command dtbtables regenerates the paper's evaluation tables (2, 3,
 // 4 and 6) by running all six collectors plus the NoGC and Live
-// baselines over the six calibrated workloads.
+// baselines over the six calibrated workloads, or, with -apps, over
+// the traces the mini-applications record.
 //
 // Usage:
 //
 //	dtbtables [-table N] [-scale F] [-trigger BYTES] [-memmax BYTES] [-tracemax BYTES]
+//	dtbtables -apps [-table N] [-trigger BYTES] [-memmax BYTES] [-tracemax BYTES]
 //
-// With no -table flag all four tables print. -scale shrinks the
+// With no -table flag every table prints. -scale shrinks the
 // workloads proportionally for quick runs (the paper-size runs take
-// around a minute). Workloads are evaluated concurrently on a bounded
-// pool (-workers, default GOMAXPROCS); Ctrl-C cancels the evaluation
-// at the next event boundary.
+// around a minute). -trigger, -memmax and -tracemax default to the
+// paper's 1 MB, 3000 KB and 50 KB, and with -apps to the
+// mini-applications' 64 KB, 256 KB and 16 KB. Workloads are evaluated
+// concurrently on a bounded pool (-workers, default GOMAXPROCS);
+// Ctrl-C cancels the evaluation at the next event boundary.
+// -cpuprofile and -memprofile write pprof profiles of the evaluation
+// for `go tool pprof`.
 //
 // Table output is buffered and checked through to the final flush, so
 // a write failure (full disk behind a redirect, closed pipe) fails
 // the command with a non-zero exit instead of printing a truncated
 // table that looks complete. -inject SPEC schedules deterministic
-// output faults (see internal/fault) for testing exactly that. Exit
-// status: 0 success, 1 operational failure, 2 usage error.
+// faults on the outputs (see internal/fault) for testing exactly
+// that. Exit status: 0 success, 1 operational failure, 2 usage error.
 package main
 
 import (
@@ -47,15 +53,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	table := fs.Int("table", 0, "table to print (2, 3, 4, 5 or 6); 0 = all")
 	scale := fs.Float64("scale", 1.0, "workload scale factor (1.0 = paper size)")
-	trigger := fs.Uint64("trigger", 1<<20, "scavenge trigger in bytes")
-	memMax := fs.Uint64("memmax", 3000*1024, "DTBMEM memory constraint in bytes")
-	traceMax := fs.Uint64("tracemax", 50*1024, "FEEDMED/DTBFM trace budget in bytes")
+	trigger := fs.Uint64("trigger", 0, "scavenge trigger in bytes (default 1 MB, or 64 KB with -apps)")
+	memMax := fs.Uint64("memmax", 0, "DTBMEM memory constraint in bytes (default 3000 KB, or 256 KB with -apps)")
+	traceMax := fs.Uint64("tracemax", 0, "FEEDMED/DTBFM trace budget in bytes (default 50 KB, or 16 KB with -apps)")
 	workers := fs.Int("workers", 0, "workloads evaluated concurrently (0 = GOMAXPROCS)")
 	compare := fs.Bool("compare", false, "print measured values beside the paper's published numbers")
 	check := fs.Bool("check", false, "verify the paper's qualitative claims (DESIGN.md §6); non-zero exit on failure")
 	apps := fs.Bool("apps", false, "evaluate over the real mini-application traces instead of the calibrated profiles")
 	progress := fs.Bool("progress", false, "stream per-run progress and summaries to stderr while the evaluation runs")
-	inject := fs.String("inject", "", "schedule deterministic I/O faults on the output (see internal/fault)")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the evaluation to FILE")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile taken after the evaluation to FILE")
+	inject := fs.String("inject", "", "schedule deterministic I/O faults on the outputs (see internal/fault)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
@@ -76,13 +84,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return cliio.Usagef("no table %d (have 2, 3, 4, 5, 6)", *table)
 	}
 	// These pairs used to slip through: -apps runs the fixed-size
-	// mini-application traces, so the calibrated-profile knobs were
-	// silently ignored, and -check silently won over -compare.
+	// mini-application traces, so -scale was silently ignored, and
+	// -check silently won over -compare.
 	if err := cliio.Conflicts(fs,
 		cliio.Conflict{A: "apps", B: "scale", Reason: "the mini-application traces are fixed-size; -scale shapes only the calibrated profiles"},
-		cliio.Conflict{A: "apps", B: "trigger", Reason: "the mini-application evaluation uses its own calibrated trigger"},
-		cliio.Conflict{A: "apps", B: "memmax", Reason: "the mini-application evaluation uses its own calibrated DTBMEM budget"},
-		cliio.Conflict{A: "apps", B: "tracemax", Reason: "the mini-application evaluation uses its own calibrated trace budget"},
 		cliio.Conflict{A: "compare", B: "check", Reason: "print a comparison or verify the claims, not both"},
 		cliio.Conflict{A: "check", B: "table", Reason: "-check verifies every claim; it does not print tables"},
 	); err != nil {
@@ -99,22 +104,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *progress {
 		probe = dtbgc.NewProgressReporter(stderr)
 	}
-	var (
-		ev  *dtbgc.Evaluation
-		err error
-	)
-	if *apps {
-		ev, err = dtbgc.RunAppEvaluationContext(ctx, dtbgc.AppEvalOptions{Probe: probe, Workers: *workers})
-	} else {
-		ev, err = dtbgc.RunPaperEvaluationContext(ctx, dtbgc.EvalOptions{
-			Scale:         *scale,
-			TriggerBytes:  *trigger,
-			MemMaxBytes:   *memMax,
-			TraceMaxBytes: *traceMax,
-			Probe:         probe,
-			Workers:       *workers,
-		})
-	}
+	var ev *dtbgc.Evaluation
+	err := cliio.Profile(*cpuprofile, *memprofile, plan, func() (err error) {
+		if *apps {
+			ev, err = dtbgc.RunAppEvaluationContext(ctx, dtbgc.AppEvalOptions{
+				TriggerBytes:  *trigger,
+				MemMaxBytes:   *memMax,
+				TraceMaxBytes: *traceMax,
+				Probe:         probe,
+				Workers:       *workers,
+			})
+		} else {
+			ev, err = dtbgc.RunPaperEvaluationContext(ctx, dtbgc.EvalOptions{
+				Scale:         *scale,
+				TriggerBytes:  *trigger,
+				MemMaxBytes:   *memMax,
+				TraceMaxBytes: *traceMax,
+				Probe:         probe,
+				Workers:       *workers,
+			})
+		}
+		return err
+	})
 	if err != nil {
 		return err
 	}

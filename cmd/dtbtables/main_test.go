@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	dtbgc "github.com/dtbgc/dtbgc"
 	"github.com/dtbgc/dtbgc/internal/cliio"
 	"github.com/dtbgc/dtbgc/internal/fault"
 )
@@ -25,12 +29,9 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-table", "1"},
 		{"-no-such-flag"},
 		{"-inject", "bogus@1"},
-		// Pairs that used to slip through silently: -apps ignored the
-		// calibrated-profile knobs, -check won over -compare.
+		// Pairs that used to slip through silently: -apps ignored
+		// -scale, -check won over -compare.
 		{"-apps", "-scale", "0.5"},
-		{"-apps", "-trigger", "65536"},
-		{"-apps", "-memmax", "1048576"},
-		{"-apps", "-tracemax", "16384"},
 		{"-compare", "-check"},
 		{"-check", "-table", "2"},
 		{"-compare", "-table", "5"},
@@ -84,5 +85,54 @@ func TestCompareRunsClean(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "paper") && !strings.Contains(stdout, "Table") {
 		t.Fatalf("comparison output unrecognised:\n%s", stdout)
+	}
+}
+
+// TestAppsAppliesKnobs: -apps hands -trigger, -memmax and -tracemax to
+// the mini-application evaluation, which fills in its own defaults
+// for the ones left unset.
+func TestAppsAppliesKnobs(t *testing.T) {
+	var prev string
+	for _, tc := range []struct {
+		args []string
+		opts dtbgc.AppEvalOptions
+	}{
+		{nil, dtbgc.AppEvalOptions{}},
+		{[]string{"-trigger", "32768", "-memmax", "131072", "-tracemax", "8192"},
+			dtbgc.AppEvalOptions{TriggerBytes: 32768, MemMaxBytes: 131072, TraceMaxBytes: 8192}},
+	} {
+		ev, err := dtbgc.RunAppEvaluation(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintln(ev.Table2())
+		got, stderr, code := tables(t, append([]string{"-apps", "-table", "2"}, tc.args...)...)
+		if code != 0 {
+			t.Fatalf("args %v: exit %d:\n%s", tc.args, code, stderr)
+		}
+		if got != want {
+			t.Errorf("args %v printed\n%s\nwant\n%s", tc.args, got, want)
+		}
+		if got == prev {
+			t.Errorf("args %v printed the same table as the defaults", tc.args)
+		}
+		prev = got
+	}
+}
+
+// TestProfilesWritten: -cpuprofile and -memprofile each leave a
+// non-empty pprof file behind.
+func TestProfilesWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if _, stderr, code := tables(t, "-apps", "-table", "2", "-cpuprofile", cpu, "-memprofile", mem); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, stderr)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil {
+			t.Error(err)
+		} else if fi.Size() == 0 {
+			t.Errorf("%s is empty", filepath.Base(path))
+		}
 	}
 }

@@ -131,32 +131,22 @@ type SimOptions struct {
 	// demux several runs (the evaluation harness labels runs
 	// "workload/collector").
 	Label string
-	// UncompactedTape disables epoch-based compaction of dead tape
-	// prefixes, pinning every object the trace ever allocated in
-	// memory for the whole replay. Compaction is invisible — results
-	// and telemetry are bit-identical either way, which the audit
-	// oracle re-proves on every run — so this exists for audits and
-	// debugging, not tuning. In a fan-out replay the tape is shared:
-	// one option set with this disables compaction for all collectors
-	// in that replay.
-	UncompactedTape bool
 }
 
 func (o SimOptions) config() sim.Config {
 	cfg := sim.Config{
-		Policy:          o.Policy,
-		PolicySeed:      o.PolicySeed,
-		Machine:         o.Machine,
-		TriggerBytes:    o.TriggerBytes,
-		RecordCurve:     o.RecordCurve,
-		CurvePoints:     o.CurvePoints,
-		Opportunistic:   o.Opportunistic,
-		PageFrames:      o.PageFrames,
-		PageBytes:       o.PageBytes,
-		Probe:           o.Probe,
-		ProgressBytes:   o.ProgressBytes,
-		Label:           o.Label,
-		UncompactedTape: o.UncompactedTape,
+		Policy:        o.Policy,
+		PolicySeed:    o.PolicySeed,
+		Machine:       o.Machine,
+		TriggerBytes:  o.TriggerBytes,
+		RecordCurve:   o.RecordCurve,
+		CurvePoints:   o.CurvePoints,
+		Opportunistic: o.Opportunistic,
+		PageFrames:    o.PageFrames,
+		PageBytes:     o.PageBytes,
+		Probe:         o.Probe,
+		ProgressBytes: o.ProgressBytes,
+		Label:         o.Label,
 	}
 	switch {
 	case o.NoGC:
@@ -382,8 +372,8 @@ func ReadTraceText(r io.Reader) ([]Event, error) { return trace.ReadText(r) }
 // ValidateTrace checks a trace for well-formedness (unique IDs, no
 // double frees, monotone clock, pointer stores between live objects).
 // It ends with the simulator's own event checks, so every trace defect
-// a replay would report, such as an ID reused after its free, is
-// reported here first, with the same text.
+// a replay would report, such as an allocation past the tape's
+// birth-bucket span, is reported here first, with the same text.
 func ValidateTrace(events []Event) error {
 	if err := trace.Validate(events); err != nil {
 		return err

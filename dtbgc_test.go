@@ -167,14 +167,14 @@ func TestTraceRoundTripFacade(t *testing.T) {
 	}
 }
 
-// TestValidateTraceRejectsIDReuse: an ID reused after its object's
-// free passes trace.Validate's liveness checks, but IDs are unique for
-// the whole trace, and every replay rejects it as a duplicate
-// allocation — so ValidateTrace does too, with the replay's error.
+// TestValidateTraceRejectsIDReuse: IDs are unique for the whole
+// trace, so an ID reused after its object's free is a duplicate
+// allocation, as every replay reports it, and trace.Validate's check
+// reports it before the simulator's.
 func TestValidateTraceRejectsIDReuse(t *testing.T) {
 	events := []Event{trace.Alloc(1, 32, 10), trace.Free(1, 20), trace.Alloc(1, 32, 30)}
 	err := ValidateTrace(events)
-	if want := "sim: event 2: duplicate allocation of object 1"; err == nil || err.Error() != want {
+	if want := "event 2: trace: duplicate allocation of object 1"; err == nil || err.Error() != want {
 		t.Fatalf("ValidateTrace = %v, want %q", err, want)
 	}
 }

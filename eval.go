@@ -354,29 +354,16 @@ func (ev *Evaluation) Table6() *Table {
 // one row per sampled point: clockKB,collectorKB,liveKB. The
 // evaluation must have been run with RecordCurves.
 func (ev *Evaluation) Figure2(workloadName, collector string) (string, error) {
-	for _, rs := range ev.Runs {
-		if rs.Workload.Name != workloadName {
-			continue
-		}
-		r, ok := rs.Results[collector]
-		if !ok {
-			return "", fmt.Errorf("dtbgc: no collector %q in evaluation", collector)
-		}
-		if r.Curve == nil {
-			return "", fmt.Errorf("dtbgc: evaluation ran without RecordCurves")
-		}
-		live := rs.Results["Live"]
-		if live == nil || live.Curve == nil {
-			return "", fmt.Errorf("dtbgc: no Live baseline curve for %q in evaluation", workloadName)
-		}
-		var b strings.Builder
-		b.WriteString("allocatedKB,memKB,liveKB\n")
-		for _, p := range r.Curve.Points {
-			fmt.Fprintf(&b, "%.1f,%.1f,%.1f\n", p.T/1024, p.V/1024, live.Curve.At(p.T)/1024)
-		}
-		return b.String(), nil
+	mem, live, err := ev.Figure2Series(workloadName, collector)
+	if err != nil {
+		return "", err
 	}
-	return "", fmt.Errorf("dtbgc: no workload %q in evaluation", workloadName)
+	var b strings.Builder
+	b.WriteString("allocatedKB,memKB,liveKB\n")
+	for _, p := range mem.Points {
+		fmt.Fprintf(&b, "%.1f,%.1f,%.1f\n", p.T/1024, p.V/1024, live.At(p.T)/1024)
+	}
+	return b.String(), nil
 }
 
 // Figure2Ascii renders the Figure 2 curves — the collector's memory

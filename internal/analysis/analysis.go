@@ -46,8 +46,9 @@
 // unknown analyzer name, and a directive that no longer suppresses
 // anything (a stale suppression outliving its pass) are themselves
 // reported. cmd/dtbvet is the command-line driver; it adds JSON
-// output, a committed findings baseline with drift detection, and a
-// mutation-style self-test.
+// output and a mutation-style self-test. There is no findings
+// baseline: every finding is either fixed or accepted by a reasoned
+// directive at its site.
 package analysis
 
 import (
@@ -90,7 +91,7 @@ func All() []*Analyzer {
 }
 
 // metaAnalyzer names the framework's own diagnostics (directive
-// misuse, baseline drift). They cannot be suppressed.
+// misuse, stale directives). They cannot be suppressed.
 const metaAnalyzer = "dtbvet"
 
 // Diagnostic is one reported violation.
@@ -303,7 +304,7 @@ func allRan(names []string, ran map[string]bool) bool {
 }
 
 // SortDiagnostics orders diagnostics by file, line, column, analyzer —
-// the stable order every output mode and the baseline rely on.
+// the stable order every output mode relies on.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

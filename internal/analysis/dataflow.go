@@ -170,17 +170,6 @@ func BuildParents(root ast.Node) Parents {
 	return parents
 }
 
-// EnclosingStmt walks up the parent chain to the innermost statement
-// containing n, or nil.
-func (p Parents) EnclosingStmt(n ast.Node) ast.Stmt {
-	for cur := n; cur != nil; cur = p[cur] {
-		if s, ok := cur.(ast.Stmt); ok {
-			return s
-		}
-	}
-	return nil
-}
-
 // onColdPath reports whether n sits on a cold abort path: its
 // innermost statement is a return, or it feeds a panic argument.
 // Hot-path functions construct their error returns and panic messages

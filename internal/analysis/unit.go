@@ -42,30 +42,17 @@ func (u *Unit) build() {
 // calls through function-typed variables stay unresolved.
 type CallGraph struct {
 	callees map[*types.Func][]*types.Func
-	callers map[*types.Func][]*types.Func
 	decls   map[*types.Func]*ast.FuncDecl
-	declPkg map[*types.Func]*Package
 }
 
 // Decl returns the syntax of fn if it is declared in the analyzed
 // packages, else nil — the "can I look at the body" test.
 func (g *CallGraph) Decl(fn *types.Func) *ast.FuncDecl { return g.decls[fn] }
 
-// DeclPackage returns the package declaring fn, or nil.
-func (g *CallGraph) DeclPackage(fn *types.Func) *Package { return g.declPkg[fn] }
-
-// Callees returns the functions fn calls directly.
-func (g *CallGraph) Callees(fn *types.Func) []*types.Func { return g.callees[fn] }
-
-// Callers returns the functions calling fn directly.
-func (g *CallGraph) Callers(fn *types.Func) []*types.Func { return g.callers[fn] }
-
 func buildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
 		callees: make(map[*types.Func][]*types.Func),
-		callers: make(map[*types.Func][]*types.Func),
 		decls:   make(map[*types.Func]*ast.FuncDecl),
-		declPkg: make(map[*types.Func]*Package),
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -79,7 +66,6 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 					continue
 				}
 				g.decls[fn] = fd
-				g.declPkg[fn] = pkg
 				seen := make(map[*types.Func]bool)
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					call, isCall := n.(*ast.CallExpr)
@@ -92,7 +78,6 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 					}
 					seen[callee] = true
 					g.callees[fn] = append(g.callees[fn], callee)
-					g.callers[callee] = append(g.callers[callee], fn)
 					return true
 				})
 			}

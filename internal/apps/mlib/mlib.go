@@ -1,7 +1,7 @@
 // Package mlib provides the managed data structures the mini-
-// applications build on: strings, boxes, pairs, vectors, hash tables
-// and arbitrary-precision naturals, all allocated as objects on the
-// simulated byte-array heap (internal/mheap) so that every cons cell,
+// applications build on: strings, boxes, vectors, hash tables and
+// arbitrary-precision naturals, all allocated as objects on the
+// simulated byte-array heap (internal/mheap) so that every table node,
 // string and bignum limb the applications touch shows up in the
 // allocation trace — the same property QPT instrumentation gave the
 // paper's C programs.
@@ -57,65 +57,6 @@ func BoxVal(h *mheap.Heap, r mheap.Ref) int64 {
 	return int64(binary.LittleEndian.Uint64(h.Data(r)))
 }
 
-// Pair layout: slot 0 = car, slot 1 = cdr.
-
-// Cons allocates a pair.
-func Cons(a Allocator, car, cdr mheap.Ref) mheap.Ref {
-	r := a.Alloc(2, 0)
-	if car != mheap.Nil {
-		a.Heap().SetPtr(r, 0, car)
-	}
-	if cdr != mheap.Nil {
-		a.Heap().SetPtr(r, 1, cdr)
-	}
-	return r
-}
-
-// Car returns the pair's first field.
-func Car(h *mheap.Heap, p mheap.Ref) mheap.Ref { return h.Ptr(p, 0) }
-
-// Cdr returns the pair's second field.
-func Cdr(h *mheap.Heap, p mheap.Ref) mheap.Ref { return h.Ptr(p, 1) }
-
-// SetCar updates the pair's first field.
-func SetCar(h *mheap.Heap, p, v mheap.Ref) { h.SetPtr(p, 0, v) }
-
-// SetCdr updates the pair's second field.
-func SetCdr(h *mheap.Heap, p, v mheap.Ref) { h.SetPtr(p, 1, v) }
-
-// ListLen walks a cons list.
-func ListLen(h *mheap.Heap, l mheap.Ref) int {
-	n := 0
-	for l != mheap.Nil {
-		n++
-		l = Cdr(h, l)
-	}
-	return n
-}
-
-// ListToSlice collects a cons list's cars.
-func ListToSlice(h *mheap.Heap, l mheap.Ref) []mheap.Ref {
-	var out []mheap.Ref
-	for l != mheap.Nil {
-		out = append(out, Car(h, l))
-		l = Cdr(h, l)
-	}
-	return out
-}
-
-// FreeList frees every spine cell of a cons list (not the cars),
-// returning the number of cells freed. For malloc/free-style apps.
-func FreeList(h *mheap.Heap, l mheap.Ref) int {
-	n := 0
-	for l != mheap.Nil {
-		next := Cdr(h, l)
-		h.Free(l)
-		n++
-		l = next
-	}
-	return n
-}
-
 // NewVector allocates an n-slot pointer vector.
 func NewVector(a Allocator, n int) mheap.Ref { return a.Alloc(n, 0) }
 
@@ -128,9 +69,8 @@ func VAt(h *mheap.Heap, v mheap.Ref, i int) mheap.Ref { return h.Ptr(v, i) }
 // VSet writes vector slot i.
 func VSet(h *mheap.Heap, v mheap.Ref, i int, x mheap.Ref) { h.SetPtr(v, i, x) }
 
-// Hash table: a vector of bucket lists; each bucket entry is a pair
-// (key-string . (value . next)) flattened as [key value next] using a
-// 3-slot node.
+// Hash table: a vector of bucket chains; each bucket entry is a
+// 3-slot node [key-string value next].
 
 const (
 	htKey = iota
@@ -204,34 +144,6 @@ func (d *Dict) Get(key string) (mheap.Ref, bool) {
 		}
 	}
 	return mheap.Nil, false
-}
-
-// Delete removes a binding, freeing its node and key string. It
-// returns whether the key was present.
-func (d *Dict) Delete(key string) bool {
-	h := d.a.Heap()
-	b := d.bucket(key)
-	var prev mheap.Ref
-	for node := VAt(h, d.table, b); node != mheap.Nil; node = h.Ptr(node, htNext) {
-		if StringVal(h, h.Ptr(node, htKey)) == key {
-			next := h.Ptr(node, htNext)
-			if prev == mheap.Nil {
-				VSet(h, d.table, b, next)
-			} else {
-				h.SetPtr(prev, htNext, next)
-			}
-			h.SetPtr(node, htNext, mheap.Nil)
-			keyStr := h.Ptr(node, htKey)
-			h.SetPtr(node, htKey, mheap.Nil)
-			h.SetPtr(node, htVal, mheap.Nil)
-			h.Free(keyStr)
-			h.Free(node)
-			d.entries--
-			return true
-		}
-		prev = node
-	}
-	return false
 }
 
 // Keys returns all keys (Go strings; no heap allocation).

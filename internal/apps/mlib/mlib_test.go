@@ -36,42 +36,6 @@ func TestBoxes(t *testing.T) {
 	}
 }
 
-func TestConsLists(t *testing.T) {
-	a, h := newRaw()
-	x, y, z := NewBox(a, 1), NewBox(a, 2), NewBox(a, 3)
-	l := Cons(a, x, Cons(a, y, Cons(a, z, mheap.Nil)))
-	if ListLen(h, l) != 3 {
-		t.Fatalf("len = %d", ListLen(h, l))
-	}
-	got := ListToSlice(h, l)
-	if len(got) != 3 || BoxVal(h, got[0]) != 1 || BoxVal(h, got[2]) != 3 {
-		t.Fatalf("slice wrong: %v", got)
-	}
-	if Car(h, l) != x || Cdr(h, Cdr(h, Cdr(h, l))) != mheap.Nil {
-		t.Fatal("car/cdr wrong")
-	}
-	SetCar(h, l, z)
-	if Car(h, l) != z {
-		t.Fatal("SetCar failed")
-	}
-	SetCdr(h, l, mheap.Nil)
-	if ListLen(h, l) != 1 {
-		t.Fatal("SetCdr failed")
-	}
-}
-
-func TestFreeList(t *testing.T) {
-	a, h := newRaw()
-	l := Cons(a, mheap.Nil, Cons(a, mheap.Nil, mheap.Nil))
-	objs := h.NumObjects()
-	if n := FreeList(h, l); n != 2 {
-		t.Fatalf("freed %d cells", n)
-	}
-	if h.NumObjects() != objs-2 {
-		t.Fatal("cells not freed")
-	}
-}
-
 func TestVectors(t *testing.T) {
 	a, h := newRaw()
 	v := NewVector(a, 5)
@@ -130,32 +94,6 @@ func TestDictManyKeysAndCollisions(t *testing.T) {
 	}
 	if len(d.Keys()) != len(want) {
 		t.Fatalf("Keys() returned %d", len(d.Keys()))
-	}
-}
-
-func TestDictDelete(t *testing.T) {
-	a, h := newRaw()
-	d := NewDict(a, 2)
-	d.Set("x", NewBox(a, 1))
-	d.Set("y", NewBox(a, 2))
-	d.Set("z", NewBox(a, 3))
-	if !d.Delete("y") {
-		t.Fatal("Delete y failed")
-	}
-	if d.Delete("y") {
-		t.Fatal("double delete succeeded")
-	}
-	if _, ok := d.Get("y"); ok {
-		t.Fatal("deleted key still present")
-	}
-	if _, ok := d.Get("x"); !ok {
-		t.Fatal("sibling key lost")
-	}
-	if d.Len() != 2 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	if err := h.CheckIntegrity(); err != nil {
-		t.Fatal(err)
 	}
 }
 

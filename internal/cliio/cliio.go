@@ -1,6 +1,7 @@
 // Package cliio is the shared command-line I/O discipline for the cmd/
-// tools: checked output streams, uniform exit codes, and the run
-// summary dtbsim and dtbd eval both print.
+// tools: checked output streams, uniform exit codes, the -cpuprofile
+// and -memprofile profiles, and the run summary dtbsim and dtbd eval
+// both print.
 //
 // The bug class this package exists to kill: a tool that writes its
 // output through `defer f.Close()` exits 0 on a full disk, leaving a
@@ -28,6 +29,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"github.com/dtbgc/dtbgc/internal/fault"
 	"github.com/dtbgc/dtbgc/internal/sim"
@@ -201,6 +204,42 @@ func WriteTo(path string, fallback io.Writer, plan *fault.Plan, fn func(io.Write
 		return fmt.Errorf("%s: %w", o.Name(), err)
 	}
 	return nil
+}
+
+// Profile runs work under the pprof profiles a command's -cpuprofile
+// and -memprofile flags name: a CPU profile of work written to cpuPath,
+// then, once work has succeeded, a heap profile to memPath. An empty
+// path skips that profile. The CPU profile stops and its file is
+// close-checked on the failure paths too, so a failed run still
+// leaves a readable profile and a full disk still fails the command.
+func Profile(cpuPath, memPath string, plan *fault.Plan, work func() error) (err error) {
+	if cpuPath != "" {
+		out, cerr := Create(cpuPath, nil, plan)
+		if cerr != nil {
+			return cerr
+		}
+		if perr := pprof.StartCPUProfile(out); perr != nil {
+			//dtbvet:ignore errsink -- cleanup after StartCPUProfile failed: perr wins and nothing was written yet
+			out.Close()
+			return perr
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := out.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	if err := work(); err != nil {
+		return err
+	}
+	if memPath == "" {
+		return nil
+	}
+	return WriteTo(memPath, nil, plan, func(w io.Writer) error {
+		runtime.GC() // settle allocations so the profile shows retained heap
+		return pprof.WriteHeapProfile(w)
+	})
 }
 
 // PrintSummary writes the human summary of one run, the block dtbsim

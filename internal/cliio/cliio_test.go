@@ -4,6 +4,8 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -106,5 +108,24 @@ func TestFlagWasSet(t *testing.T) {
 	}
 	if FlagWasSet(fs, "policy") {
 		t.Error("policy reported set without appearing on the command line")
+	}
+}
+
+// TestProfileFailedWork: a run that fails still stops and writes its
+// CPU profile, returns its own error, and takes no heap profile.
+func TestProfileFailedWork(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	boom := errors.New("boom")
+	if err := Profile(cpu, mem, nil, func() error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("Profile returned %v, want the run's error", err)
+	}
+	if fi, err := os.Stat(cpu); err != nil {
+		t.Error(err)
+	} else if fi.Size() == 0 {
+		t.Error("the CPU profile is empty")
+	}
+	if _, err := os.Stat(mem); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("heap profile of a failed run: %v, want none", err)
 	}
 }

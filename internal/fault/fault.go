@@ -98,15 +98,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Kinds returns every fault class, in spec-grammar order.
-func Kinds() []Kind {
-	out := make([]Kind, len(kindNames))
-	for i, kn := range kindNames {
-		out[i] = kn.kind
-	}
-	return out
-}
-
 // Fault is one scheduled fault: a class and the offset at which it
 // fires. The offset counts bytes for the reader/writer classes and
 // events for SourceErr and Cancel; for ShortWrite it is the per-call

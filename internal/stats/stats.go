@@ -61,32 +61,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 // Median returns the 50th percentile.
 func Median(values []float64) float64 { return Percentile(values, 50) }
 
-// Mean returns the arithmetic mean, or 0 for an empty slice.
-func Mean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range values {
-		sum += v
-	}
-	return sum / float64(len(values))
-}
-
-// Max returns the largest value, or 0 for an empty slice.
-func Max(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	m := values[0]
-	for _, v := range values[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Weighted accumulates the time-weighted mean and the maximum of a
 // right-continuous step function: the function holds value v from the
 // time of Observe(t, v) until the next Observe. It is how "mean memory
@@ -225,17 +199,6 @@ func (s *Series) At(t float64) float64 {
 		return 0
 	}
 	return s.Points[i-1].V
-}
-
-// MaxV returns the maximum value in the series, or 0 if empty.
-func (s *Series) MaxV() float64 {
-	m := 0.0
-	for i, p := range s.Points {
-		if i == 0 || p.V > m {
-			m = p.V
-		}
-	}
-	return m
 }
 
 // Downsample returns a copy of the series keeping at most n points,

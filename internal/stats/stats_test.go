@@ -108,19 +108,6 @@ func TestMedianMonotoneInvariant(t *testing.T) {
 	}
 }
 
-func TestMeanMaxHelpers(t *testing.T) {
-	if Mean(nil) != 0 || Max(nil) != 0 {
-		t.Fatal("Mean/Max of empty slice should be 0")
-	}
-	vals := []float64{2, 8, 5}
-	if !almostEq(Mean(vals), 5) {
-		t.Errorf("Mean = %v", Mean(vals))
-	}
-	if Max(vals) != 8 {
-		t.Errorf("Max = %v", Max(vals))
-	}
-}
-
 func TestWeightedConstant(t *testing.T) {
 	var w Weighted
 	w.Observe(0, 10)
@@ -322,9 +309,6 @@ func TestSeriesAppendAndAt(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %v", c.t, got, c.want)
 		}
 	}
-	if s.MaxV() != 9 {
-		t.Errorf("MaxV = %v", s.MaxV())
-	}
 }
 
 func TestSeriesRegressionPanics(t *testing.T) {
@@ -366,12 +350,5 @@ func TestSeriesDownsampleNoOp(t *testing.T) {
 	s.Append(2, 2)
 	if d := s.Downsample(5); len(d.Points) != 2 {
 		t.Fatalf("small series should pass through, got %d points", len(d.Points))
-	}
-}
-
-func TestSeriesEmptyMax(t *testing.T) {
-	var s Series
-	if s.MaxV() != 0 {
-		t.Fatal("empty series MaxV should be 0")
 	}
 }

@@ -152,6 +152,8 @@ func TestWalkersValidateFirst(t *testing.T) {
 		{[]Event{Alloc(1, 8, 0), Alloc(2, 8, 1), Free(2, 2), PtrWrite(1, 0, 2, 3)}, "event 3: trace: pointer store to dead or unknown target 2"},
 		{[]Event{Alloc(1, 8, 10), Alloc(2, 8, 5), Free(1, 3)}, "event 1: trace: instruction clock regressed 10 -> 5"},
 		{[]Event{Alloc(1, 8, 1), Alloc(1, 16, 2), Free(1, 3)}, "event 1: trace: duplicate allocation of object 1"},
+		{[]Event{Alloc(1, 32, 10), Free(1, 20), Alloc(1, 32, 30), Free(1, 40)}, "event 2: trace: duplicate allocation of object 1"},
+		{[]Event{Alloc(5, 8, 0), Alloc(1, 8, 1), Free(1, 2), Alloc(1, 8, 3)}, "event 3: trace: duplicate allocation of object 1"},
 	} {
 		if err := Validate(defect.events); err == nil || err.Error() != defect.want {
 			t.Fatalf("Validate(%v) = %v, want %q", defect.events, err, defect.want)

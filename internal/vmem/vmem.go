@@ -49,12 +49,28 @@ func New(pageBytes uint64, frames int) *Model {
 
 // Touch accesses the byte range [addr, addr+size), faulting in any
 // non-resident pages. A zero-size touch accesses nothing.
+//
+// The work is bounded by the resident set, not by the range: once a
+// range's first frames pages are resident they are the whole set, so
+// every later page of the range misses. A range of more than twice
+// frames pages touches its first and last frames pages one by one and
+// counts each page between them as one access and one fault, leaving
+// the same counts and LRU order as touching every page.
 func (m *Model) Touch(addr, size uint64) {
 	if size == 0 {
 		return
 	}
 	first := addr / m.pageBytes
 	last := (addr + size - 1) / m.pageBytes
+	if frames := uint64(m.frames); last-first >= 2*frames {
+		for p := first; p < first+frames; p++ {
+			m.touchPage(p)
+		}
+		skipped := last - first + 1 - 2*frames
+		m.accesses += skipped
+		m.faults += skipped
+		first = last - frames + 1
+	}
 	for p := first; p <= last; p++ {
 		m.touchPage(p)
 	}
@@ -119,11 +135,3 @@ func (m *Model) Accesses() uint64 { return m.accesses }
 
 // Resident returns the current resident-set size in pages.
 func (m *Model) Resident() int { return len(m.nodes) }
-
-// FaultRate returns faults per access (0 when nothing was accessed).
-func (m *Model) FaultRate() float64 {
-	if m.accesses == 0 {
-		return 0
-	}
-	return float64(m.faults) / float64(m.accesses)
-}

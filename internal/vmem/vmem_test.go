@@ -1,6 +1,7 @@
 package vmem
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/dtbgc/dtbgc/internal/xrand"
@@ -84,8 +85,8 @@ func TestWorkingSetWithinCapacityStopsFaulting(t *testing.T) {
 	if m.Faults() != 8 {
 		t.Fatalf("faults=%d, want 8 cold faults only", m.Faults())
 	}
-	if m.FaultRate() >= 0.01 {
-		t.Fatalf("fault rate %v too high", m.FaultRate())
+	if rate := float64(m.Faults()) / float64(m.Accesses()); rate >= 0.01 {
+		t.Fatalf("fault rate %v too high", rate)
 	}
 }
 
@@ -105,8 +106,109 @@ func TestNewPanics(t *testing.T) {
 	}
 }
 
-func TestFaultRateEmpty(t *testing.T) {
-	if New(4096, 4).FaultRate() != 0 {
-		t.Fatal("empty model fault rate nonzero")
+// TestHugeTouchBoundedByFrames touches one 60 GiB object at three
+// successive addresses, as the copies of a scavenge do, with 16
+// frames of 4 KB. Every page faults, the last 16 pages of the last
+// copy stay resident in order, and the work follows the resident
+// set: a per-page loop allocates a node for each of a touch's 15.7M
+// faults.
+func TestHugeTouchBoundedByFrames(t *testing.T) {
+	const pageBytes, frames, size = 4096, 16, 60 << 30
+	const pages = size / pageBytes
+	m := New(pageBytes, frames)
+	m.Touch(0, size)
+	var addr uint64 = size
+	allocs := testing.AllocsPerRun(1, func() {
+		m.Touch(addr, size)
+		addr += size
+	})
+	if allocs > 4*frames {
+		t.Fatalf("one %d-page touch allocated %v times, want at most %d", pages, allocs, 4*frames)
 	}
+	// Three touches: the first, AllocsPerRun's warm-up and its run.
+	if m.Faults() != 3*pages || m.Accesses() != 3*pages {
+		t.Fatalf("faults=%d accesses=%d, want %d each", m.Faults(), m.Accesses(), 3*pages)
+	}
+	want := make([]uint64, frames) // the last 16 pages, most recent first
+	for i := range want {
+		want[i] = addr/pageBytes - 1 - uint64(i)
+	}
+	if got := residentOrder(m); !slices.Equal(got, want) {
+		t.Fatalf("resident pages %v, want %v", got, want)
+	}
+	m.Touch(addr-1, 1)
+	if m.Faults() != 3*pages || m.Accesses() != 3*pages+1 {
+		t.Fatal("the last page touched is not resident")
+	}
+}
+
+// residentOrder lists the model's resident pages, most recent first.
+func residentOrder(m *Model) []uint64 {
+	var out []uint64
+	for n := m.head; n != nil; n = n.next {
+		out = append(out, n.page)
+	}
+	return out
+}
+
+// refModel is the per-page LRU reference FuzzPageModel checks the
+// model against: every page of a range is one access, and the
+// resident pages are kept most recent first.
+type refModel struct {
+	pageBytes        uint64
+	frames           int
+	resident         []uint64
+	faults, accesses uint64
+}
+
+func (r *refModel) touch(addr, size uint64) {
+	if size == 0 {
+		return
+	}
+	for p := addr / r.pageBytes; p <= (addr+size-1)/r.pageBytes; p++ {
+		r.accesses++
+		if i := slices.Index(r.resident, p); i >= 0 {
+			r.resident = slices.Delete(r.resident, i, i+1)
+		} else {
+			r.faults++
+			if len(r.resident) == r.frames {
+				r.resident = r.resident[:r.frames-1]
+			}
+		}
+		r.resident = slices.Insert(r.resident, 0, p)
+	}
+}
+
+// FuzzPageModel checks that any page size, frame count and sequence
+// of touches gives the per-page reference's faults, accesses and
+// resident pages in LRU order, after every touch. Each touch is four
+// bytes: a page and an offset into it, then a size in quarter pages
+// and bytes, so ranges run from nothing to about 64 pages and cross
+// twice the frame count on both sides.
+func FuzzPageModel(f *testing.F) {
+	f.Add(uint16(4096), uint8(16), []byte{0, 0, 255, 0, 1, 2, 3, 4})
+	f.Add(uint16(1), uint8(1), []byte{3, 0, 9, 0, 3, 0, 0, 1})
+	f.Add(uint16(100), uint8(2), []byte{0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 2, 0, 0, 1})
+	f.Add(uint16(512), uint8(5), []byte{10, 7, 44, 9, 12, 0, 40, 0, 9, 244, 3, 3})
+	f.Fuzz(func(t *testing.T, pageBytes uint16, frames uint8, touches []byte) {
+		pb := uint64(pageBytes)%4096 + 1
+		fr := int(frames)%24 + 1
+		m := New(pb, fr)
+		ref := &refModel{pageBytes: pb, frames: fr}
+		for i := 0; i+4 <= len(touches); i += 4 {
+			c := touches[i : i+4]
+			addr := uint64(c[0])*pb + uint64(c[1])%pb
+			size := uint64(c[2])*pb/4 + uint64(c[3])
+			m.Touch(addr, size)
+			ref.touch(addr, size)
+			if m.Faults() != ref.faults || m.Accesses() != ref.accesses {
+				t.Fatalf("touch %d (addr %d, size %d): faults=%d accesses=%d, reference %d and %d",
+					i/4, addr, size, m.Faults(), m.Accesses(), ref.faults, ref.accesses)
+			}
+			if got := residentOrder(m); !slices.Equal(got, ref.resident) || m.Resident() != len(ref.resident) {
+				t.Fatalf("touch %d (addr %d, size %d): resident %v (%d), reference %v",
+					i/4, addr, size, got, m.Resident(), ref.resident)
+			}
+		}
+	})
 }
