@@ -154,7 +154,7 @@ func RunAppEvaluationContext(ctx context.Context, opts AppEvalOptions) (*Evaluat
 			}
 			sims := collectorMatrix(a.name, opts.TriggerBytes, opts.MemMaxBytes,
 				opts.TraceMaxBytes, false, 0, opts.Probe)
-			results, err := replayMatrix(ctx, SliceSource(events), sims)
+			results, err := replayMatrix(ctx, engine.SliceBatchSource(events), sims)
 			if err != nil {
 				return fmt.Errorf("dtbgc: app %s: %w", a.name, err)
 			}

@@ -159,6 +159,15 @@ func (o SimOptions) config() sim.Config {
 	return cfg
 }
 
+// configs converts option sets to simulator configs, in order.
+func configs(opts []SimOptions) []sim.Config {
+	cfgs := make([]sim.Config, len(opts))
+	for i, o := range opts {
+		cfgs[i] = o.config()
+	}
+	return cfgs
+}
+
 // Simulate runs one collector (or baseline) over an allocation trace
 // and returns its metrics.
 func Simulate(events []Event, opts SimOptions) (*Result, error) {
@@ -245,11 +254,7 @@ func RecoveringSource(r io.Reader) (EventSource, func() DropStats) {
 // the replay at the next batch boundary (at most a few thousand
 // events) with ctx's error.
 func ReplayAll(ctx context.Context, src EventSource, opts []SimOptions) ([]*Result, error) {
-	cfgs := make([]sim.Config, len(opts))
-	for i, o := range opts {
-		cfgs[i] = o.config()
-	}
-	return engine.Replay(ctx, src, cfgs)
+	return engine.Replay(ctx, src, configs(opts))
 }
 
 // Checkpoint captures a consistent interrupted replay, resumable via
@@ -267,11 +272,7 @@ type Checkpoint = engine.Checkpoint
 // Errors that abort mid-event (a runner rejecting an event) return a
 // nil checkpoint: there is nothing consistent to resume.
 func ReplayAllResumable(ctx context.Context, src EventSource, opts []SimOptions) ([]*Result, *Checkpoint, error) {
-	cfgs := make([]sim.Config, len(opts))
-	for i, o := range opts {
-		cfgs[i] = o.config()
-	}
-	return engine.ReplayResumable(ctx, src, cfgs)
+	return engine.ReplayResumable(ctx, src, configs(opts))
 }
 
 // HistoryCSV renders a result's per-scavenge history — time,

@@ -166,3 +166,28 @@ func TestEvalContextCancellation(t *testing.T) {
 		t.Error("cancelled evaluation returned a partial Evaluation")
 	}
 }
+
+// TestEvalIndependentOfWorkers: the evaluation starts its workloads
+// longest first, yet Runs keep profile order and every result, History
+// included, is the same for any worker count.
+func TestEvalIndependentOfWorkers(t *testing.T) {
+	var want []RunSet
+	for _, workers := range []int{1, 2, 6} {
+		ev, err := RunPaperEvaluation(EvalOptions{Scale: 0.02, Workers: workers})
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		for i, w := range Workloads() {
+			if got := ev.Runs[i].Workload.Name; got != w.Name {
+				t.Fatalf("%d workers: run %d is %s, want %s", workers, i, got, w.Name)
+			}
+		}
+		if want == nil {
+			want = ev.Runs
+			continue
+		}
+		if !reflect.DeepEqual(ev.Runs, want) {
+			t.Errorf("%d workers: runs differ from 1 worker's", workers)
+		}
+	}
+}

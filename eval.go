@@ -1,13 +1,14 @@
 package dtbgc
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/dtbgc/dtbgc/internal/engine"
-	"github.com/dtbgc/dtbgc/internal/sim"
 	"github.com/dtbgc/dtbgc/internal/stats"
 	"github.com/dtbgc/dtbgc/internal/workload"
 )
@@ -44,7 +45,11 @@ type EvalOptions struct {
 	// Workers bounds how many workloads replay concurrently; zero
 	// means GOMAXPROCS. Each workload is one job — a single trace
 	// pass fanned out to all collectors — so results never depend on
-	// the worker count or scheduling.
+	// the worker count or scheduling. Jobs start longest first, in
+	// decreasing order of scaled TotalBytes (ties in Profiles order),
+	// so the longest trace does not start last and hold one worker
+	// while the others idle; a shared Probe sees the runs start in that
+	// order. Runs and the tables keep Profiles order.
 	Workers int
 }
 
@@ -107,10 +112,23 @@ func RunPaperEvaluationContext(ctx context.Context, opts EvalOptions) (*Evaluati
 	}
 	opts = opts.withDefaults()
 	ev := &Evaluation{Options: opts, Runs: make([]RunSet, len(opts.Profiles))}
-	jobs := make([]engine.Job, len(opts.Profiles))
+	scaled := make([]Workload, len(opts.Profiles))
+	order := make([]int, len(opts.Profiles))
 	for i, w := range opts.Profiles {
-		jobs[i] = func(ctx context.Context) error {
-			rs, err := runWorkloadSet(ctx, w, opts)
+		scaled[i] = w.Scale(opts.Scale)
+		order[i] = i
+	}
+	// Longest first: a job's cost follows its trace length, and on a
+	// small pool the job that starts last sets the wall time. The key
+	// is an integer, so an invalid profile sorts like any other and
+	// fails in its own job.
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(scaled[b].TotalBytes, scaled[a].TotalBytes)
+	})
+	jobs := make([]engine.Job, len(order))
+	for k, i := range order {
+		jobs[k] = func(ctx context.Context) error {
+			rs, err := runWorkloadSet(ctx, scaled[i], opts)
 			ev.Runs[i] = rs
 			return err
 		}
@@ -150,8 +168,8 @@ func collectorMatrix(name string, trigger, memMax, traceMax uint64, curves bool,
 
 // replayMatrix feeds one pass of the source to the whole matrix and
 // keys the results by collector name.
-func replayMatrix(ctx context.Context, src EventSource, sims []SimOptions) (map[string]*Result, error) {
-	results, err := ReplayAll(ctx, src, sims)
+func replayMatrix(ctx context.Context, src engine.BatchSource, sims []SimOptions) (map[string]*Result, error) {
+	results, err := engine.ReplayBatches(ctx, src, configs(sims))
 	if err != nil {
 		return nil, err
 	}
@@ -162,11 +180,16 @@ func replayMatrix(ctx context.Context, src EventSource, sims []SimOptions) (map[
 	return byName, nil
 }
 
-func runWorkloadSet(ctx context.Context, w Workload, opts EvalOptions) (RunSet, error) {
-	scaled := w.Scale(opts.Scale)
+// runWorkloadSet replays one scaled workload's trace under the whole
+// matrix, reading the generator in batches.
+func runWorkloadSet(ctx context.Context, scaled Workload, opts EvalOptions) (RunSet, error) {
 	sims := collectorMatrix(scaled.Name, opts.TriggerBytes, opts.MemMaxBytes,
 		opts.TraceMaxBytes, opts.RecordCurves, opts.CurvePoints, opts.Probe)
-	results, err := replayMatrix(ctx, EventSource(scaled.GenerateTo), sims)
+	g, err := scaled.Generator()
+	if err != nil {
+		return RunSet{}, fmt.Errorf("dtbgc: %s: %w", scaled.Name, err)
+	}
+	results, err := replayMatrix(ctx, engine.ReaderBatchSource(g), sims)
 	if err != nil {
 		return RunSet{}, fmt.Errorf("dtbgc: %s: %w", scaled.Name, err)
 	}
@@ -401,6 +424,3 @@ func (ev *Evaluation) Figure2Series(workloadName, collector string) (mem, live *
 	}
 	return nil, nil, fmt.Errorf("dtbgc: no workload %q in evaluation", workloadName)
 }
-
-// Ensure the sim package's result type remains the one we document.
-var _ = sim.Config{}

@@ -147,9 +147,10 @@ func collectorConfigs(name string, opts Options) []sim.Config {
 
 // AuditWorkload runs the full correctness harness over one workload:
 //
-//  1. The fast path — every collector fed by one engine.Replay pass
-//     over the streamed generator, bucketed boundary queries — runs
-//     under the live Auditor with per-run telemetry capture.
+//  1. The fast path — every collector fed by one engine.ReplayBatches
+//     pass over the generator read in batches, bucketed boundary
+//     queries — runs under the live Auditor with per-run telemetry
+//     capture.
 //  2. The reference path re-runs every collector solo (sim.Run over
 //     the materialized trace) with Config.ReferenceScan routing every
 //     boundary query through the O(n) tail scan and
@@ -181,7 +182,11 @@ func AuditWorkload(ctx context.Context, p workload.Profile, opts Options) (*Repo
 		cfg.Probe = sim.Probes(auditor, sim.NewTelemetryWriter(fastTel[i]))
 		fastCfgs[i] = cfg
 	}
-	fast, err := engine.Replay(ctx, engine.Source(scaled.GenerateTo), fastCfgs)
+	g, err := scaled.Generator()
+	if err != nil {
+		return nil, fmt.Errorf("audit: %s: generate: %w", scaled.Name, err)
+	}
+	fast, err := engine.ReplayBatches(ctx, engine.ReaderBatchSource(g), fastCfgs)
 	if err != nil {
 		return nil, fmt.Errorf("audit: %s: fast path: %w", scaled.Name, err)
 	}

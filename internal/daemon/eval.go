@@ -303,7 +303,11 @@ func (s *Server) evaluate(ctx context.Context, req *EvalRequest) (payload evalPa
 		tapeHit = true
 		results, err = engine.ReplayBatches(ctx, engine.SliceBatchSource(events), cfgs)
 	} else {
-		results, err = engine.Replay(ctx, engine.Source(req.profile.GenerateTo), cfgs)
+		g, gerr := req.profile.Generator()
+		if gerr != nil {
+			return evalPayload{}, false, gerr
+		}
+		results, err = engine.ReplayBatches(ctx, engine.ReaderBatchSource(g), cfgs)
 	}
 	if err != nil {
 		return evalPayload{}, tapeHit, err

@@ -6,9 +6,9 @@
 // (§5–6): every workload replays under six policies plus the NoGC and
 // Live baselines. Replay feeds each event exactly once to every
 // runner, so the trace is produced once per workload regardless of
-// collector count — and with a streaming Source (such as
-// workload.Profile.GenerateTo or a trace.Reader) it never materializes
-// in memory at all. RunJobs schedules those per-workload replays on a
+// collector count — and from a streaming source (a workload generator
+// or a trace decoder, read in batches) it never materializes in memory
+// at all. RunJobs schedules those per-workload replays on a
 // bounded pool with fail-fast cancellation and deterministic result
 // assembly; every future scaling layer (policy sweeps, sharded runs,
 // learned-policy search) plugs into the same two primitives.
@@ -86,15 +86,31 @@ func SliceBatchSource(events []trace.Event) BatchSource {
 	}
 }
 
-// ReaderBatchSource adapts a trace decoder, strict (trace.NewReader)
-// or recovering (trace.NewRecoveringReader), to a BatchSource using
-// Reader.ReadBatch, which decodes each record straight from its input
-// window into a reused buffer: one decoder call per batch, not per
-// event. The loop runs on a second goroutine, decoding the next batch
-// into the second of two buffers while emit applies the current one
-// (see pipelined). If the decoder fails mid-batch, the events it
-// decoded before the failure are emitted first.
-func ReaderBatchSource(rd *trace.Reader) BatchSource {
+// BatchReader reads a trace in batches with trace.Reader.ReadBatch's
+// contract: fill dst in place and return how many events it holds; a
+// short count with a nil error ends the trace, and the next call
+// returns (0, io.EOF); on a failure the events before it come with the
+// error. The trace decoders (*trace.Reader, strict or recovering) and
+// the workload generator (*workload.Generator) are BatchReaders.
+type BatchReader interface {
+	ReadBatch(dst []trace.Event) (int, error)
+}
+
+// ReaderBatchSource adapts a BatchReader — a trace decoder, strict
+// (trace.NewReader) or recovering (trace.NewRecoveringReader), or a
+// workload generator — to a BatchSource: one ReadBatch call per batch,
+// each filling a reused buffer in place, with no per-event call
+// between the reader and the fleet. The loop runs on a second
+// goroutine, reading the next batch into the second of two buffers
+// while emit applies the current one (see pipelined). If the reader
+// fails mid-batch, the events it read before the failure are emitted
+// first.
+//
+// The reading goroutine does not see the replay's context, only the
+// replay does, once per batch: after a cancellation the reader may
+// read up to two batches (2 × 4096 events) past the one being applied,
+// where BatchingSource's producer stops within one.
+func ReaderBatchSource(rd BatchReader) BatchSource {
 	return pipelined(context.Background(), func(buf []trace.Event, handoff handoffFunc) ([]trace.Event, error) {
 		for {
 			n, err := rd.ReadBatch(buf[:cap(buf)])

@@ -9,8 +9,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/dtbgc/dtbgc/internal/core"
 	"github.com/dtbgc/dtbgc/internal/sim"
 	"github.com/dtbgc/dtbgc/internal/trace"
+	"github.com/dtbgc/dtbgc/internal/workload"
 )
 
 // allocStream is a synthetic trace of n 64-byte allocations, event i
@@ -341,5 +343,75 @@ func TestPipelineAllocsIndependentOfLength(t *testing.T) {
 		if counts[0] != counts[1] {
 			t.Errorf("%s: %v allocs per replay of 2 batches, %v of 6: the pipeline allocates per batch", name, counts[0], counts[1])
 		}
+	}
+}
+
+// countingReader counts the events a BatchReader has handed out; the
+// count is read from the caller's goroutine while the producer reads.
+type countingReader struct {
+	rd BatchReader
+	n  atomic.Int64
+}
+
+func (c *countingReader) ReadBatch(dst []trace.Event) (int, error) {
+	n, err := c.rd.ReadBatch(dst)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// scavengeHook is a probe that calls fn at the first scavenge.
+type scavengeHook struct {
+	fn   func()
+	done bool
+}
+
+func (p *scavengeHook) RunStart(sim.RunStart) {}
+func (p *scavengeHook) Decision(sim.Decision) {}
+func (p *scavengeHook) Scavenge(sim.ScavengeEvent) {
+	if !p.done {
+		p.done = true
+		p.fn()
+	}
+}
+func (p *scavengeHook) Progress(sim.Progress)   {}
+func (p *scavengeHook) RunFinish(sim.RunFinish) {}
+
+// TestGeneratedReplayCancellationOverrun pins how far a generator read
+// through ReaderBatchSource runs past a cancellation. Its producer
+// does not see the context, so only the replay's per-batch check stops
+// it: cancelled while a batch is applied, the replay refuses the next
+// batch, which the producer has read by then, and the producer reads
+// one more into the freed buffer before it sees the stop. That is at
+// most two batches after the cancellation, where BatchingSource's
+// producer, which checks the context, stops within one.
+func TestGeneratedReplayCancellationOverrun(t *testing.T) {
+	g, err := workload.Ghost1().Scale(0.1).Generator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := &countingReader{rd: g}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var atCancel int64
+	cfg := sim.Config{Policy: core.Full{}, TriggerBytes: 256 << 10}
+	cfg.Probe = &scavengeHook{fn: func() {
+		atCancel = cr.n.Load()
+		cancel()
+	}}
+	results, err := ReplayBatches(ctx, ReaderBatchSource(cr), []sim.Config{cfg})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("ReplayBatches error = %v, want context.Canceled", err)
+	}
+	if results != nil {
+		t.Fatal("cancelled replay returned results")
+	}
+	if atCancel == 0 {
+		t.Fatal("the replay was never cancelled")
+	}
+	if over := cr.n.Load() - atCancel; over > 2*replayBatchEvents {
+		t.Errorf("generator read %d events after the cancellation, want at most two %d-event batches", over, replayBatchEvents)
+	}
+	if n := cr.n.Load(); n > 8*replayBatchEvents {
+		t.Errorf("generator read %d events in all, far past the cancellation", n)
 	}
 }

@@ -343,45 +343,6 @@ func (h *Heap) LiveBytesBornAfter(t core.Time) uint64 {
 	return sum
 }
 
-// Compact repacks all live objects into a fresh byte array in birth
-// order, eliminating fragmentation: afterwards SpaceBytes equals the
-// sum of live block sizes. Because references are object IDs rather
-// than addresses, no pointer forwarding is needed — this is the
-// "copying collector for free" the ID indirection buys. Data slices
-// previously returned by Data are invalidated.
-func (h *Heap) Compact() {
-	refs := h.Refs() // birth order keeps older objects lower in memory
-	var total uint64
-	for _, r := range refs {
-		total += uint64(h.objects[r].total)
-	}
-	space := make([]byte, total)
-	var next uint64
-	for _, r := range refs {
-		e := h.objects[r]
-		copy(space[next:], h.space[e.addr:e.addr+uint64(e.total)])
-		e.addr = next
-		h.objects[r] = e
-		next += uint64(e.total)
-	}
-	h.space = space
-	h.next = next
-	h.freeLists = make(map[uint32][]uint64)
-}
-
-// Fragmentation returns the fraction of the bump-allocated region not
-// occupied by live objects' blocks (0 on a freshly compacted heap).
-func (h *Heap) Fragmentation() float64 {
-	if h.next == 0 {
-		return 0
-	}
-	var used uint64
-	for _, e := range h.objects { //dtbvet:ignore determinism -- order-insensitive sum of block sizes
-		used += uint64(e.total)
-	}
-	return 1 - float64(used)/float64(h.next)
-}
-
 // CheckIntegrity validates the heap's internal invariants: byte
 // accounting, header consistency and free-list disjointness. Tests
 // call it after every mutation sequence.

@@ -2,7 +2,8 @@ package sim
 
 // Epoch-based compaction of dead tape prefixes. The tape numbers
 // objects by allocation order, so the liveByBirth buckets double as a
-// cohort map: a zero prefix of buckets means every object born before
+// cohort map: a prefix of buckets with no live bytes and no live
+// zero-size object (tape.zeroLive) means every object born before
 // that clock epoch is dead — exactly the cohorts no boundary query
 // (LiveBytesBornAfter takes a birth-time lower bound) can ever count
 // again, in the same way age-segregated collectors discard whole dead
@@ -73,7 +74,7 @@ func tapeCompactionAllowed(runners []*Runner) bool {
 // for nothing here: the caller already stops at the first live birth
 // bucket.
 func (tp *tape) retainedFloor(runners []*Runner) int {
-	floor := len(tp.sizes)
+	floor := len(tp.births)
 	for _, r := range runners {
 		switch {
 		case r.sweeps && len(r.objs) > 0:
@@ -143,30 +144,27 @@ func (r *Runner) rebase(k int) {
 // calling, so the hot path pays one comparison per event.
 func (tp *tape) maybeCompact(runners []*Runner) {
 	tp.lastCompactCheck = tp.events
-	z := 0
-	for z < len(tp.liveByBirth) && tp.liveByBirth[z] == 0 {
-		z++
-	}
+	z := tp.deadBuckets()
 	if z == 0 {
 		return
 	}
-	// Ordinals born before the first live bucket are all dead (their
-	// buckets sum to zero live bytes). The comparison is on bucket
-	// identity — a computed epoch clock could overflow at the top of
-	// the clock space.
+	// Ordinals born before the first live bucket are all dead. The
+	// comparison is on bucket identity — a computed epoch clock could
+	// overflow at the top of the clock space.
 	limit := tp.bucketBase + uint64(z)
 	k := sort.Search(len(tp.births), func(i int) bool { return birthBucket(tp.births[i]) >= limit })
 	k = min(k, tp.retainedFloor(runners))
-	if k >= tp.minRetire && 4*k >= len(tp.sizes) {
+	if k >= tp.minRetire && 4*k >= len(tp.births) {
 		tp.retire(k, runners)
 	}
 	tp.trimBuckets()
 }
 
-// retire drops the first k ordinals from the tape: their IDs leave
-// the index into the retired span summary, the per-ordinal arrays
-// shift down in place (capacity is reused — the arrays' footprint is
-// their retained high-water mark), the index is rebased, the consumed
+// retire drops the first k ordinals (k ≥ 1) from the tape: their IDs
+// leave the index into the retired span summary, the per-ordinal
+// arrays shift down in place (capacity is reused — the arrays'
+// footprint is their retained high-water mark) with born0 moving to
+// the last retired birth, the index is rebased, the consumed
 // death-log prefix is dropped and the rest of the log rebased, and
 // every runner shifts its own per-ordinal state. On the index's
 // arithmetic arm the retired IDs are one span (two if they wrap past
@@ -193,7 +191,7 @@ func (tp *tape) retire(k int, runners []*Runner) {
 		}
 		tp.ids = tp.ids[:copy(tp.ids, tp.ids[k:])]
 	}
-	tp.sizes = tp.sizes[:copy(tp.sizes, tp.sizes[k:])]
+	tp.born0 = tp.births[k-1]
 	tp.births = tp.births[:copy(tp.births, tp.births[k:])]
 	tp.dead = tp.dead[:copy(tp.dead, tp.dead[k:])]
 	tp.retiredOrds += uint64(k)
@@ -208,15 +206,22 @@ func (tp *tape) retire(k int, runners []*Runner) {
 	}
 }
 
+// deadBuckets returns how many leading birth buckets hold no live
+// object: no live bytes and no live zero-size object.
+func (tp *tape) deadBuckets() int {
+	z := 0
+	for z < len(tp.liveByBirth) && tp.liveByBirth[z] == 0 && tp.zeroLive[tp.bucketBase+uint64(z)] == 0 {
+		z++
+	}
+	return z
+}
+
 // trimBuckets drops the all-dead bucket prefix and advances
 // bucketBase, capped at the clock's own bucket so the next alloc —
 // which may land in the current bucket — never indexes below the
 // base.
 func (tp *tape) trimBuckets() {
-	z := 0
-	for z < len(tp.liveByBirth) && tp.liveByBirth[z] == 0 {
-		z++
-	}
+	z := tp.deadBuckets()
 	if room := birthBucket(tp.clock) - tp.bucketBase; uint64(z) > room {
 		z = int(room)
 	}
@@ -297,7 +302,7 @@ type TapeStats struct {
 func (tp *tape) stats() TapeStats {
 	return TapeStats{
 		Events:          tp.events,
-		RetainedObjects: len(tp.sizes),
+		RetainedObjects: len(tp.births),
 		RetiredObjects:  tp.retiredOrds,
 		RetiredIDSpans:  len(tp.retired),
 		Buckets:         len(tp.liveByBirth),

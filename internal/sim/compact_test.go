@@ -388,8 +388,8 @@ func TestMaxBucketsGuard(t *testing.T) {
 	if !strings.Contains(err.Error(), "birth bucket") {
 		t.Fatalf("bucket-range error = %q", err)
 	}
-	if tp.events != 1 || len(tp.sizes) != 1 {
-		t.Fatalf("failed alloc mutated the tape: %d events, %d ordinals", tp.events, len(tp.sizes))
+	if tp.events != 1 || len(tp.births) != 1 {
+		t.Fatalf("failed alloc mutated the tape: %d events, %d ordinals", tp.events, len(tp.births))
 	}
 	if tp.index != nil {
 		t.Fatal("rejected non-consecutive alloc moved the index onto its map arm")
@@ -407,7 +407,7 @@ func TestLiveBytesBornAfterFinalBucket(t *testing.T) {
 	// bucket base keeps the relative index tiny, exactly as a
 	// long-compacted tape would look.
 	start := core.TimeAt(math.MaxUint64 - 3<<birthBucketShift)
-	tp.clock = start
+	tp.clock, tp.born0 = start, start
 	tp.bucketBase = birthBucket(start)
 	var out resolved
 	ids := trace.ObjectID(1)
@@ -563,6 +563,58 @@ func TestIDSpans(t *testing.T) {
 	}{{8, false}, {9, true}, {15, true}, {19, true}, {20, false}, {22, false}, {23, true}, {25, true}, {26, false}} {
 		if got := s.contains(tc.id); got != tc.in {
 			t.Errorf("contains(%d) = %v, want %v (spans %+v)", tc.id, got, tc.in, s)
+		}
+	}
+}
+
+// TestZeroSizeObjectsSurviveCompaction: a live zero-size object adds
+// no bytes to its birth bucket, yet its cohort is not dead. Here one is
+// born a quarter of the way into a churn that kills everything else
+// born around it, and freed last. Compaction may retire and trim what
+// came before it, but it must neither retire the object, which made
+// its free a "double free", nor trim its bucket under a runner that
+// pins the ordinals, which made the free index below the bucket base
+// and panic. Every fleet must match its uncompacted run, and Check
+// must accept the trace.
+func TestZeroSizeObjectsSurviveCompaction(t *testing.T) {
+	var events []trace.Event
+	const zero = 5000 // the zero-size object's ID
+	instr := uint64(0)
+	for id := trace.ObjectID(1); id < 20000; id++ {
+		instr++
+		size := uint64(512)
+		if id == zero {
+			size = 0
+		}
+		events = append(events, trace.Alloc(id, size, instr))
+		if dead := id - 8; id > 8 && dead != zero {
+			instr++
+			events = append(events, trace.Free(dead, instr))
+		}
+	}
+	events = append(events, trace.Free(zero, instr+1))
+	if err := Check(events); err != nil {
+		t.Fatalf("Check: %v", err)
+	}
+	for _, cfg := range []Config{
+		{Policy: core.Full{}, TriggerBytes: 64 * kb},
+		{Policy: core.Fixed{K: 1}, TriggerBytes: 64 * kb},
+		{Mode: ModeLive},
+	} {
+		fleet, err := NewFleet([]Config{cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fleet.FeedBatch(events); err != nil {
+			t.Fatalf("%v: %v", cfg.Policy, err)
+		}
+		if st := fleet.TapeStats(); st.TrimmedBuckets == 0 {
+			t.Errorf("%v: the tape never trimmed a bucket: %+v", cfg.Policy, st)
+		}
+		got := fleet.Finish()[0]
+		cfg.UncompactedTape = true
+		if want := mustRun(t, events, cfg); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: compacted result differs from uncompacted", cfg.Policy)
 		}
 	}
 }

@@ -205,8 +205,12 @@ func TestTenuredSet(t *testing.T) {
 	g := lcg(7)
 	const n = 5000
 	sizes := make([]uint64, n)
+	tp := &tape{} // its births encode the sizes
+	var clock core.Time
 	for i := range sizes {
 		sizes[i] = 1 + g.next()%1000
+		clock = clock.Add(sizes[i])
+		tp.births = append(tp.births, clock)
 	}
 	var set tenuredSet
 	var model []int32 // the members, unordered
@@ -242,7 +246,7 @@ func TestTenuredSet(t *testing.T) {
 			}
 		}
 		model = kept
-		if got := set.reclaim(thr, sizes); got != want {
+		if got := set.reclaim(thr, tp); got != want {
 			t.Fatalf("step %d: reclaim(%d) = %d bytes, want %d", step, thr, got, want)
 		}
 		if len(model) > 0 && set.floor() != slices.Min(model) {

@@ -341,9 +341,12 @@ type tape struct {
 	index  map[trace.ObjectID]int32 // nil on the arithmetic arm (see lookup)
 	idBase trace.ObjectID           // arithmetic arm: the ID of ordinal 0
 	ids    []trace.ObjectID         // map arm only, per ordinal: retire summarizes retired IDs from it and drops them from the map
-	sizes  []uint64                 // per ordinal
-	births []core.Time              // per ordinal, nondecreasing
+	births []core.Time              // per ordinal, nondecreasing: the clock just after its alloc
 	dead   []bool                   // per ordinal: freed by the program
+	// born0 is the clock just before ordinal 0's alloc: zero until
+	// retire moves it to the last retired ordinal's birth. Sizes are
+	// not stored (see size).
+	born0 core.Time
 
 	// deaths[i] is the death-log entry numbered deathBase+i; runner
 	// cursors count entries from the start of the trace, so trimming
@@ -370,6 +373,11 @@ type tape struct {
 	// bucket, so the next alloc always lands at a valid index.
 	liveByBirth []uint64
 	bucketBase  uint64
+	// zeroLive counts the live zero-size objects by birth bucket. They
+	// add nothing to liveByBirth, so a bucket's zero sum alone does not
+	// prove its cohort dead: compaction stops at the first bucket that
+	// holds one (see deadBuckets). Nil until a zero-size alloc.
+	zeroLive map[uint64]int
 
 	// Compaction state: whether it is enabled for this tape (off for
 	// raw tapes, Config.UncompactedTape, and fleets whose vmem
@@ -465,15 +473,15 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 		if len(tp.retired) > 0 && tp.retired.contains(e.ID) {
 			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("duplicate allocation of object %d", e.ID)}
 		}
-		if len(tp.sizes) >= tp.ordLimit {
-			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("tape ordinal limit: %d objects retained at once", len(tp.sizes))}
+		if len(tp.births) >= tp.ordLimit {
+			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("tape ordinal limit: %d objects retained at once", len(tp.births))}
 		}
 		clock := tp.clock.Add(e.Size)
 		b := birthBucket(clock)
 		if b-tp.bucketBase >= tp.maxBuckets {
 			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("birth bucket %d out of range (base %d, limit %d buckets)", b, tp.bucketBase, tp.maxBuckets)}
 		}
-		ord := int32(len(tp.sizes))
+		ord := int32(len(tp.births))
 		// Every check has passed, so only now may the alloc move the
 		// index off its arithmetic arm. The trace's first alloc sets
 		// the base instead.
@@ -489,7 +497,6 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 			tp.ids = append(tp.ids, e.ID)
 		}
 		tp.clock = clock
-		tp.sizes = append(tp.sizes, e.Size)
 		tp.births = append(tp.births, clock)
 		tp.dead = append(tp.dead, false)
 		tp.live += e.Size
@@ -498,6 +505,9 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 			tp.liveByBirth = growBuckets(tp.liveByBirth, rb+1)
 		}
 		tp.liveByBirth[rb] += e.Size
+		if e.Size == 0 {
+			tp.noteZeroSize(b, 1)
+		}
 		tp.liveStat.Observe(float64(e.Instr), float64(tp.live))
 		*out = resolved{kind: trace.KindAlloc, ord: ord, size: e.Size, instr: e.Instr, clock: clock, live: tp.live}
 	case trace.KindFree:
@@ -515,12 +525,16 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("double free of object %d", e.ID)}
 		}
 		tp.dead[ord] = true
-		size := tp.sizes[ord]
+		size := tp.size(int(ord))
 		tp.live -= size
-		// A live object's bucket holds at least its own size, so it can
-		// never be part of a trimmed (all-dead) prefix: the subtraction
-		// index is always in range.
-		tp.liveByBirth[birthBucket(tp.births[ord])-tp.bucketBase] -= size
+		// A live object's bucket holds its size, or counts it in
+		// zeroLive, so it can never be part of a trimmed (all-dead)
+		// prefix: the subtraction index is always in range.
+		b := birthBucket(tp.births[ord])
+		tp.liveByBirth[b-tp.bucketBase] -= size
+		if size == 0 {
+			tp.noteZeroSize(b, -1)
+		}
 		if tp.logDeaths {
 			tp.deaths = append(tp.deaths, death{ord: ord, size: size})
 		}
@@ -549,13 +563,23 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 	return nil
 }
 
+// noteZeroSize adds d to bucket b's count of live zero-size objects.
+func (tp *tape) noteZeroSize(b uint64, d int) {
+	if tp.zeroLive == nil {
+		tp.zeroLive = make(map[uint64]int)
+	}
+	if tp.zeroLive[b] += d; tp.zeroLive[b] == 0 {
+		delete(tp.zeroLive, b)
+	}
+}
+
 // lookup returns the ordinal of a retained trace ID. On the
 // arithmetic arm that is one subtraction: an ID below the base wraps
 // to a difference past the retained range, so one unsigned comparison
 // rejects IDs on either side of it.
 func (tp *tape) lookup(id trace.ObjectID) (int32, bool) {
 	if tp.index == nil {
-		if d := uint64(id - tp.idBase); d < uint64(len(tp.sizes)) {
+		if d := uint64(id - tp.idBase); d < uint64(len(tp.births)) {
 			return int32(d), true
 		}
 		return 0, false
@@ -568,7 +592,7 @@ func (tp *tape) lookup(id trace.ObjectID) (int32, bool) {
 // retained ordinal's ID was idBase+ordinal, which is what it keys the
 // map and fills the ids array with.
 func (tp *tape) mapIndex() {
-	n := len(tp.sizes)
+	n := len(tp.births)
 	tp.index = make(map[trace.ObjectID]int32, n)
 	tp.ids = make([]trace.ObjectID, n)
 	for ord := range tp.ids {
@@ -576,6 +600,20 @@ func (tp *tape) mapIndex() {
 		tp.ids[ord] = id
 		tp.index[id] = int32(ord)
 	}
+}
+
+// size returns ordinal ord's size. The tape keeps no size array: an
+// alloc advances the clock by exactly its size and records the clock
+// after it as the ordinal's birth, so the size is the distance from
+// the clock just before it — the previous ordinal's birth, or born0
+// for ordinal 0. The Bytes() values subtract modulo 2^64, so the
+// distance is exact even where the clock wraps.
+func (tp *tape) size(ord int) uint64 {
+	prev := tp.born0
+	if ord > 0 {
+		prev = tp.births[ord-1]
+	}
+	return tp.births[ord].Bytes() - prev.Bytes()
 }
 
 // bornAfter returns the first ordinal born after t: births are
@@ -614,7 +652,7 @@ func (tp *tape) liveBytesFrom(i int, t core.Time) uint64 {
 	var sum uint64
 	for ; i < len(births) && birthBucket(births[i]) == b; i++ {
 		if !tp.dead[i] {
-			sum += tp.sizes[i]
+			sum += tp.size(i)
 		}
 	}
 	// Bucket sums are stored relative to bucketBase. A query at or
@@ -657,7 +695,7 @@ func (tp *tape) liveBytesBornAfterNaive(t core.Time) uint64 {
 	var sum uint64
 	for ; i < len(births); i++ {
 		if !tp.dead[i] {
-			sum += tp.sizes[i]
+			sum += tp.size(i)
 		}
 	}
 	return sum
@@ -1073,7 +1111,7 @@ func (r *Runner) reclaimLogged(tb core.Time) (traced, reclaimed uint64) {
 	i := tp.bornAfter(tb)
 	traced = tp.liveBytesFrom(i, tb)
 	thr := int32(i)
-	reclaimed = r.tenured.reclaim(thr, tp.sizes)
+	reclaimed = r.tenured.reclaim(thr, tp)
 	for _, d := range tp.deaths[r.cursor-tp.deathBase:] {
 		if d.ord >= thr {
 			reclaimed += d.size
@@ -1097,7 +1135,7 @@ func (r *Runner) sweep(tb core.Time) (traced, reclaimed uint64) {
 	w := start
 	for i := start; i < len(objs); i++ {
 		ord := objs[i]
-		size := tp.sizes[ord]
+		size := tp.size(int(ord))
 		if tp.dead[ord] {
 			reclaimed += size
 			r.inUse -= size
@@ -1117,7 +1155,7 @@ func (r *Runner) sweep(tb core.Time) (traced, reclaimed uint64) {
 		// collector never touches garbage.
 		for i := start; i < len(r.objs); i++ {
 			ord := r.objs[i]
-			size := tp.sizes[ord]
+			size := tp.size(int(ord))
 			r.pages.Touch(r.addrs[ord], size)
 			r.addrs[ord] = r.nextAddr
 			r.nextAddr += size
@@ -1157,13 +1195,13 @@ func (t *tenuredSet) add(ord int32) {
 }
 
 // reclaim removes every member at or above thr and returns their
-// total size.
-func (t *tenuredSet) reclaim(thr int32, sizes []uint64) uint64 {
+// total size on tape tp.
+func (t *tenuredSet) reclaim(thr int32, tp *tape) uint64 {
 	var bytes uint64
 	if len(t.pending) > 0 && t.pendingMax >= thr {
 		for _, ord := range t.pending {
 			if ord >= thr {
-				bytes += sizes[ord]
+				bytes += tp.size(int(ord))
 			} else {
 				t.push(ord)
 			}
@@ -1171,7 +1209,7 @@ func (t *tenuredSet) reclaim(thr int32, sizes []uint64) uint64 {
 		t.pending = t.pending[:0]
 	}
 	for len(t.heap) > 0 && t.heap[0] >= thr {
-		bytes += sizes[t.pop()]
+		bytes += tp.size(int(t.pop()))
 	}
 	return bytes
 }

@@ -249,7 +249,11 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 						PolicySeed:   seed,
 					}
 				}
-				runs, err := engine.Replay(ctx, engine.Source(prof.GenerateTo), cfgs)
+				g, err := prof.Generator()
+				if err != nil {
+					return fmt.Errorf("tournament: %s seed %#x: %w", prof.Name, seed, err)
+				}
+				runs, err := engine.ReplayBatches(ctx, engine.ReaderBatchSource(g), cfgs)
 				if err != nil {
 					return fmt.Errorf("tournament: %s seed %#x: %w", prof.Name, seed, err)
 				}

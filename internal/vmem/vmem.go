@@ -76,6 +76,9 @@ func (m *Model) Touch(addr, size uint64) {
 	}
 }
 
+// touchPage accesses page p. A miss on a full resident set evicts the
+// least recently used page and reuses its node for p, so a full set
+// faults without allocating.
 func (m *Model) touchPage(p uint64) {
 	m.accesses++
 	if n, ok := m.nodes[p]; ok {
@@ -83,14 +86,17 @@ func (m *Model) touchPage(p uint64) {
 		return
 	}
 	m.faults++
-	n := &node{page: p}
+	var n *node
+	if len(m.nodes) < m.frames {
+		n = new(node)
+	} else {
+		n = m.tail
+		m.unlink(n)
+		delete(m.nodes, n.page)
+	}
+	n.page = p
 	m.nodes[p] = n
 	m.pushFront(n)
-	if len(m.nodes) > m.frames {
-		evict := m.tail
-		m.unlink(evict)
-		delete(m.nodes, evict.page)
-	}
 }
 
 func (m *Model) pushFront(n *node) {

@@ -110,8 +110,8 @@ func TestNewPanics(t *testing.T) {
 // successive addresses, as the copies of a scavenge do, with 16
 // frames of 4 KB. Every page faults, the last 16 pages of the last
 // copy stay resident in order, and the work follows the resident
-// set: a per-page loop allocates a node for each of a touch's 15.7M
-// faults.
+// set: the set is full after the first touch, so a later touch of
+// 15.7M pages reuses evicted nodes and allocates nothing.
 func TestHugeTouchBoundedByFrames(t *testing.T) {
 	const pageBytes, frames, size = 4096, 16, 60 << 30
 	const pages = size / pageBytes
@@ -122,8 +122,8 @@ func TestHugeTouchBoundedByFrames(t *testing.T) {
 		m.Touch(addr, size)
 		addr += size
 	})
-	if allocs > 4*frames {
-		t.Fatalf("one %d-page touch allocated %v times, want at most %d", pages, allocs, 4*frames)
+	if allocs != 0 {
+		t.Fatalf("one %d-page touch on a full resident set allocated %v times, want 0", pages, allocs)
 	}
 	// Three touches: the first, AllocsPerRun's warm-up and its run.
 	if m.Faults() != 3*pages || m.Accesses() != 3*pages {
@@ -211,4 +211,29 @@ func FuzzPageModel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFullSetFaultsWithoutAllocating: once the resident set is full,
+// every fault evicts a page and reuses its node, so faulting page by
+// page allocates nothing, at any frame count.
+func TestFullSetFaultsWithoutAllocating(t *testing.T) {
+	for _, frames := range []int{1, 16, 1000} {
+		m := New(4096, frames)
+		page := uint64(0)
+		for ; page < uint64(frames); page++ {
+			m.Touch(page*4096, 1)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := 0; i < 50; i++ {
+				m.Touch(page*4096, 1)
+				page++
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%d frames: 50 faults on a full set allocated %v times, want 0", frames, allocs)
+		}
+		if m.Resident() != frames || m.Faults() != page {
+			t.Errorf("%d frames: resident %d, faults %d, want %d and %d", frames, m.Resident(), m.Faults(), frames, page)
+		}
+	}
 }

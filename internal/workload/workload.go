@@ -24,6 +24,7 @@ package workload
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"strings"
 
@@ -129,11 +130,11 @@ type death struct {
 
 // deathHeap is a binary min-heap of scheduled deaths ordered by clock.
 // push and pop are container/heap's Push and Pop specialised to death:
-// the same sift-up and sift-down, comparison for comparison and swap
-// for swap, so deaths with equal clocks still pop in exactly the order
-// container/heap gave them and every generated trace is unchanged.
-// The typed form does not box each death into an interface, which
-// cost about one allocation per generated event.
+// the same sift-up and sift-down, comparison for comparison, so deaths
+// with equal clocks still pop in exactly the order container/heap gave
+// them and every generated trace is unchanged. The typed form does not
+// box each death into an interface, which cost about one allocation
+// per generated event.
 type deathHeap []death
 
 // push adds d: container/heap's Push, i.e. append then sift up.
@@ -152,37 +153,51 @@ func (h *deathHeap) push(d death) {
 }
 
 // pop removes and returns the earliest death: container/heap's Pop,
-// i.e. swap the root to the end, sift the new root down over the
-// first n elements, then take the last.
+// which swaps the root to the end and sifts the new root down over the
+// first n elements. The element being sifted is always the old last
+// one, x, so instead of swapping it down level by level pop moves a
+// hole: each level compares the same pair container/heap compares
+// (right child before left, then the smaller child against x) and
+// copies the child up, and x is stored once where the hole stops. The
+// smaller child is picked by arithmetic on the comparison, not a
+// branch, since which one wins is a coin toss on random clocks.
 func (h *deathHeap) pop() death {
 	s := *h
 	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
+	top, x := s[0], s[n]
 	i := 0
 	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+		j := 2*i + 1 // left child
+		if j >= n {
 			break
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && s[j2].clock < s[j1].clock {
-			j = j2 // right child
+		if j+1 < n {
+			j += b2i(s[j+1].clock < s[j].clock) // right child on a strict win
 		}
-		if !(s[j].clock < s[i].clock) {
+		if !(s[j].clock < x.clock) {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
+		s[i] = s[j]
 		i = j
 	}
-	d := s[n]
+	s[i] = x
 	*h = s[:n]
-	return d
+	return top
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a flag set,
+// not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Generate produces the profile's full event trace deterministically.
 // It is a thin collector over GenerateTo; replay paths that do not
 // need the slice (the evaluation engine, streaming simulation) should
-// call GenerateTo directly so paper-scale traces never materialize.
+// read a Generator instead, so paper-scale traces never materialize.
 func (p Profile) Generate() ([]trace.Event, error) {
 	// Rough capacity estimate: allocs + frees.
 	estObjects := int(float64(p.TotalBytes)/math.Max(p.MeanObject, 1)) + 16
@@ -199,95 +214,157 @@ func (p Profile) Generate() ([]trace.Event, error) {
 
 // GenerateTo streams the profile's event trace, in order, to emit —
 // one event at a time, so the trace never exists in memory at once.
-// The sequence is identical to Generate's for the same profile.
+// The sequence is identical to Generate's and to a Generator's for
+// the same profile: GenerateTo reads a Generator in small batches.
 // Generation stops at the first emit error, which is returned
 // unchanged (wrapped errors pass errors.Is through).
 func (p Profile) GenerateTo(emit func(trace.Event) error) error {
-	if err := p.Validate(); err != nil {
+	g, err := p.Generator()
+	if err != nil {
 		return err
 	}
-	r := xrand.New(p.Seed)
-	// Pre-compute class selection thresholds.
-	cum := make([]float64, len(p.Classes))
+	var buf [128]trace.Event
+	for {
+		n, err := g.ReadBatch(buf[:])
+		for _, e := range buf[:n] {
+			if eerr := emit(e); eerr != nil {
+				return eerr
+			}
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// Generator produces a profile's event trace in batches, in place: the
+// batch form of GenerateTo, which the replay engine reads the way it
+// reads a trace decoder (see trace.Reader.ReadBatch). One loop serves
+// both; GenerateTo and Generate read a Generator.
+//
+// The trace is a sequence of rounds, one per allocation while the
+// allocation clock is below TotalBytes: the frees due by the clock,
+// then at most one phase mark, then the allocation, whose class draw
+// schedules its death. Once the clock reaches TotalBytes the frees due
+// by then close the trace. A Generator keeps its place between batches
+// (the clock, the death heap, whether this round's mark check is
+// done), so batch boundaries can fall anywhere and the sequence never
+// depends on them.
+type Generator struct {
+	p            Profile
+	r            *xrand.Rand
+	cum          []float64 // class selection thresholds
+	mu, sigma    float64   // log-normal size parameters
+	instrPerByte float64
+
+	clock     uint64 // bytes allocated so far
+	nextID    trace.ObjectID
+	deaths    deathHeap
+	nextPhase uint64
+	marked    bool // this round's phase-mark check is done
+	ended     bool
+}
+
+// Generator validates the profile and returns a Generator at the
+// start of its trace.
+func (p Profile) Generator() (*Generator, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	g := &Generator{
+		p:         p,
+		r:         xrand.New(p.Seed),
+		cum:       make([]float64, len(p.Classes)),
+		nextID:    1,
+		nextPhase: p.PhaseBytes, // zero: no phase structure
+	}
 	acc := 0.0
 	for i, c := range p.Classes {
 		acc += c.Fraction
-		cum[i] = acc
+		g.cum[i] = acc
 	}
 	// Log-normal size parameters so that E[size] = MeanObject.
-	sigma := p.SigmaObject
-	if sigma == 0 { //dtbvet:ignore floatexact -- exact zero is the unset-parameter sentinel; no arithmetic feeds it
-		sigma = 0.8
+	g.sigma = p.SigmaObject
+	if g.sigma == 0 { //dtbvet:ignore floatexact -- exact zero is the unset-parameter sentinel; no arithmetic feeds it
+		g.sigma = 0.8
 	}
-	mu := math.Log(p.MeanObject) - sigma*sigma/2
+	g.mu = math.Log(p.MeanObject) - g.sigma*g.sigma/2
+	g.instrPerByte = p.ExecSeconds * 10e6 / float64(p.TotalBytes)
+	return g, nil
+}
 
-	instrPerByte := p.ExecSeconds * 10e6 / float64(p.TotalBytes)
-
-	var (
-		clock     uint64         // bytes allocated so far
-		nextID    trace.ObjectID = 1
-		deaths    deathHeap
-		nextPhase uint64
-	)
-	if p.PhaseBytes > 0 {
-		nextPhase = p.PhaseBytes
+// ReadBatch generates up to len(dst) events into dst and returns how
+// many it filled, with trace.Reader.ReadBatch's contract: a short
+// count with a nil error means the trace ended mid-batch, and the next
+// call returns (0, io.EOF). A Generator never fails otherwise.
+//
+//dtbvet:hotpath one call per replay batch, generating the whole batch
+func (g *Generator) ReadBatch(dst []trace.Event) (int, error) {
+	if g.ended {
+		return 0, io.EOF
 	}
-	instrAt := func(c uint64) uint64 { return uint64(float64(c) * instrPerByte) }
-
-	for clock < p.TotalBytes {
-		// Emit any deaths due before the next allocation.
-		for len(deaths) > 0 && deaths[0].clock <= clock {
-			d := deaths.pop()
-			if err := emit(trace.Free(d.id, instrAt(clock))); err != nil {
-				return err
+	for n := range dst {
+		// Emit any deaths due before the next allocation, or by the
+		// end of the run.
+		if len(g.deaths) > 0 && g.deaths[0].clock <= g.clock {
+			d := g.deaths.pop()
+			dst[n] = trace.Free(d.id, g.instrAt(g.clock))
+			continue
+		}
+		// Objects scheduled to die after the end stay live, like a
+		// real program exiting.
+		if g.clock >= g.p.TotalBytes {
+			g.ended = true
+			if n == 0 {
+				return 0, io.EOF
 			}
+			return n, nil
 		}
 		// Phase boundaries are program quiescent points; mark them so
 		// opportunistic scheduling can key off them. The mark lands a
 		// little after the boundary, past the death jitter, so the
 		// pass-local storage is already dead when a collector reacts.
-		if nextPhase > 0 && clock >= nextPhase+16*kb {
-			if err := emit(trace.Mark("phase", instrAt(clock))); err != nil {
-				return err
+		if !g.marked {
+			g.marked = true
+			if g.nextPhase > 0 && g.clock >= g.nextPhase+16*kb {
+				dst[n] = trace.Mark("phase", g.instrAt(g.clock))
+				g.nextPhase += g.p.PhaseBytes
+				continue
 			}
-			nextPhase += p.PhaseBytes
 		}
-		size := uint64(math.Max(16, math.Min(8192, r.LogNormal(mu, sigma))))
-		id := nextID
-		nextID++
-		clock += size
-		if err := emit(trace.Alloc(id, size, instrAt(clock))); err != nil {
-			return err
-		}
+		g.marked = false
+		size := uint64(math.Max(16, math.Min(8192, g.r.LogNormal(g.mu, g.sigma))))
+		id := g.nextID
+		g.nextID++
+		g.clock += size
+		dst[n] = trace.Alloc(id, size, g.instrAt(g.clock))
 		// Pick the class and schedule death.
-		u := r.Float64()
+		u := g.r.Float64()
 		ci := 0
-		for ci < len(cum)-1 && u >= cum[ci] {
+		for ci < len(g.cum)-1 && u >= g.cum[ci] {
 			ci++
 		}
-		c := p.Classes[ci]
+		c := g.p.Classes[ci]
 		switch {
 		case c.Permanent:
 			// never freed
 		case c.DieAtPhaseEnd:
-			phaseEnd := (clock/p.PhaseBytes + 1) * p.PhaseBytes
-			jitter := uint64(r.Exp(4 * kb))
-			deaths.push(death{clock: phaseEnd + jitter, id: id})
+			phaseEnd := (g.clock/g.p.PhaseBytes + 1) * g.p.PhaseBytes
+			jitter := uint64(g.r.Exp(4 * kb))
+			g.deaths.push(death{clock: phaseEnd + jitter, id: id})
 		default:
-			life := uint64(r.Exp(c.MeanLife)) + 1
-			deaths.push(death{clock: clock + life, id: id})
+			life := uint64(g.r.Exp(c.MeanLife)) + 1
+			g.deaths.push(death{clock: g.clock + life, id: id})
 		}
 	}
-	// Flush deaths that fall within the run; objects scheduled to die
-	// after the end stay live, like a real program exiting.
-	for len(deaths) > 0 && deaths[0].clock <= clock {
-		d := deaths.pop()
-		if err := emit(trace.Free(d.id, instrAt(clock))); err != nil {
-			return err
-		}
-	}
-	return nil
+	return len(dst), nil
 }
+
+// instrAt is the instruction count at allocation clock c.
+func (g *Generator) instrAt(c uint64) uint64 { return uint64(float64(c) * g.instrPerByte) }
 
 // MustGenerate is Generate for known-good built-in profiles.
 //
