@@ -15,6 +15,7 @@ import (
 // AppEvalOptions sizes the application-driven evaluation.
 type AppEvalOptions struct {
 	// GhostPages is the page count for the PostScript runs (default 40).
+	// It and the two counts below must not be negative.
 	GhostPages int
 	// EspressoProblems is the PLA batch size (default 10).
 	EspressoProblems int
@@ -86,6 +87,13 @@ func RunAppEvaluation(opts AppEvalOptions) (*Evaluation, error) {
 // replay, or inside the replay.
 func RunAppEvaluationContext(ctx context.Context, opts AppEvalOptions) (*Evaluation, error) {
 	opts = opts.withDefaults()
+	// Zero picks the default, so only a negative count gets here. It
+	// would make the PLA batch a negative-length slice, a panic on a
+	// worker goroutine, and run the other apps on no input at all.
+	if opts.GhostPages < 0 || opts.EspressoProblems < 0 || opts.SisVectors < 0 {
+		return nil, fmt.Errorf("dtbgc: AppEvalOptions counts must not be negative: GhostPages %d, EspressoProblems %d, SisVectors %d",
+			opts.GhostPages, opts.EspressoProblems, opts.SisVectors)
+	}
 
 	type app struct {
 		name, desc string

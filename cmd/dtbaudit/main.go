@@ -32,6 +32,7 @@ import (
 	"os/signal"
 
 	"github.com/dtbgc/dtbgc/internal/audit"
+	"github.com/dtbgc/dtbgc/internal/cliio"
 	"github.com/dtbgc/dtbgc/internal/engine"
 	"github.com/dtbgc/dtbgc/internal/workload"
 )
@@ -59,6 +60,9 @@ func run() int {
 	}
 	if flag.NArg() > 0 {
 		return fail(fmt.Errorf("unexpected arguments %v", flag.Args()))
+	}
+	if err := cliio.CheckScale(*scale); err != nil {
+		return fail(err)
 	}
 
 	opts := audit.Options{

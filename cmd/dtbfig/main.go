@@ -55,6 +55,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return &cliio.UsageError{Err: err}
 	}
+	if err := cliio.CheckScale(*scale); err != nil {
+		return err
+	}
 	columns := append(append([]string{}, dtbgc.CollectorOrder...), "NoGC", "Live")
 	if !slices.Contains(columns, *collector) {
 		return cliio.Usagef("unknown collector %q (valid: %s)", *collector, strings.Join(columns, ", "))

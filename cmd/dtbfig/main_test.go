@@ -18,6 +18,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-collector", "NOPE"},
 		{"-no-such-flag"},
 		{"-scale", "x"},
+		{"-scale", "-1"},
+		{"-scale", "NaN"},
 	} {
 		var out, errs bytes.Buffer
 		if code := cliio.ExitCode(run(args, &out, &errs)); code != 2 {

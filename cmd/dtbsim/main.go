@@ -145,6 +145,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if err != nil {
 			return &cliio.UsageError{Err: err}
 		}
+		if err := cliio.CheckScale(*scale); err != nil {
+			return err
+		}
 		wl = w.Scale(*scale)
 	default:
 		return cliio.Usagef("need -workload or -trace")

@@ -57,6 +57,10 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-policy", "full", "-workload", "CFRAC", "-resume", "-1"},
 		{"-policy", "full", "-workload", "CFRAC", "-inject", "bogus@1"},
 		{"-recover", "-policy", "full", "-workload", "CFRAC"}, // recover without a trace
+		{"-policy", "full", "-workload", "CFRAC", "-scale", "0"},
+		{"-policy", "full", "-workload", "CFRAC", "-scale", "-1"},
+		{"-policy", "full", "-workload", "CFRAC", "-scale", "NaN"},
+		{"-policy", "full", "-workload", "CFRAC", "-scale", "+Inf"},
 		{"-definitely-not-a-flag"},
 	} {
 		if _, _, code := sim(t, args...); code != 2 {

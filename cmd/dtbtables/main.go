@@ -93,6 +93,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	); err != nil {
 		return err
 	}
+	if err := cliio.CheckScale(*scale); err != nil {
+		return err
+	}
 	if *compare && (*table == 5 || *table == 6) {
 		return cliio.Usagef("-compare covers tables 2, 3 and 4: the paper publishes no numbers for table %d", *table)
 	}

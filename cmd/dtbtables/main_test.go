@@ -36,6 +36,10 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-check", "-table", "2"},
 		{"-compare", "-table", "5"},
 		{"-compare", "-table", "6"},
+		{"-scale", "0"},
+		{"-scale", "-1"},
+		{"-scale", "NaN"},
+		{"-scale", "+Inf"},
 	} {
 		if _, _, code := tables(t, args...); code != 2 {
 			t.Errorf("args %v: exit %d, want 2", args, code)

@@ -23,6 +23,7 @@ import (
 	"strings"
 	"syscall"
 
+	"github.com/dtbgc/dtbgc/internal/cliio"
 	"github.com/dtbgc/dtbgc/internal/core"
 	"github.com/dtbgc/dtbgc/internal/tournament"
 	"github.com/dtbgc/dtbgc/internal/workload"
@@ -45,6 +46,9 @@ func main() {
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fail("unexpected arguments %q (known policies: %s)", flag.Args(), strings.Join(core.KnownPolicies(), ", "))
+	}
+	if err := cliio.CheckScale(*scale); err != nil {
+		fail("%v", err)
 	}
 
 	opts := tournament.Options{

@@ -208,6 +208,9 @@ func cmdGen(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if err := cliio.CheckScale(*scale); err != nil {
+		return err
+	}
 	events, err := w.Scale(*scale).Generate()
 	if err != nil {
 		return err

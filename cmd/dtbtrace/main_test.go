@@ -41,6 +41,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"window"}, // missing file
 		{"gen", "-inject", "bogus@1"},
 		{"gen", "-inject", "short-write@0"},
+		{"gen", "-scale", "-1"},
+		{"gen", "-scale", "NaN"},
 	} {
 		if _, _, code := tool(t, args...); code != 2 {
 			t.Errorf("args %v: exit %d, want 2", args, code)

@@ -186,9 +186,9 @@ func SimulateStream(r io.Reader, opts SimOptions) (*Result, error) {
 // the replay engine consumes traces without materializing them:
 // Workload.GenerateTo satisfies the signature directly, and
 // SliceSource/StreamSource adapt the other trace forms. A replay runs
-// its source on a goroutine of its own, one batch ahead of the
-// collectors, and waits for it to return; probes and policies run on
-// the caller's goroutine.
+// its source on a goroutine of its own, up to seven 512-event batches
+// ahead of the collectors, and waits for it to return; probes and
+// policies run on the caller's goroutine.
 type EventSource = engine.Source
 
 // SliceSource adapts an in-memory trace to an EventSource.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -20,7 +21,8 @@ var CollectorOrder = []string{"Full", "Fixed1", "Fixed4", "DtbMem", "FeedMed", "
 type EvalOptions struct {
 	// Scale multiplies every workload's length; 1.0 reproduces the
 	// paper-size runs (tens of megabytes each), smaller values give
-	// fast approximate runs. Zero means 1.0.
+	// fast approximate runs. Zero means 1.0; a negative, NaN or
+	// infinite scale is an error.
 	Scale float64
 	// TriggerBytes is the scavenge interval (paper: 1 MB). It is NOT
 	// scaled automatically; scale it alongside Scale when you want the
@@ -111,6 +113,12 @@ func RunPaperEvaluationContext(ctx context.Context, opts EvalOptions) (*Evaluati
 		return nil, errors.New("dtbgc: EvalOptions.Profiles is empty: an evaluation over zero workloads would masquerade as success (leave it nil for the paper profiles)")
 	}
 	opts = opts.withDefaults()
+	// A negative scale would panic in Workload.Scale, and a NaN or
+	// infinite one passes it and scales TotalBytes past 2^63: the
+	// evaluation would generate until ctx ended.
+	if !(opts.Scale > 0) || math.IsInf(opts.Scale, 1) {
+		return nil, fmt.Errorf("dtbgc: EvalOptions.Scale %v is not positive and finite", opts.Scale)
+	}
 	ev := &Evaluation{Options: opts, Runs: make([]RunSet, len(opts.Profiles))}
 	scaled := make([]Workload, len(opts.Profiles))
 	order := make([]int, len(opts.Profiles))

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -47,6 +48,17 @@ func (e *UsageError) Unwrap() error { return e.Err }
 // Usagef builds a UsageError.
 func Usagef(format string, args ...any) error {
 	return &UsageError{Err: fmt.Errorf(format, args...)}
+}
+
+// CheckScale vets a -scale flag: a workload scale factor must be
+// positive and finite. Zero, a negative value or NaN would panic in
+// the workload's Scale, and an infinite one would generate without
+// end.
+func CheckScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return Usagef("-scale %v: want a positive, finite factor", scale)
+	}
+	return nil
 }
 
 // ExitCode maps a run's error to the shared exit discipline: nil is 0,

@@ -87,7 +87,7 @@ func telemetryMatrix(buf *bytes.Buffer) []sim.Config {
 
 // TestResumeMidBatchBitIdentical is the batching regression test for
 // checkpoint granularity: a source failure whose event count lands
-// strictly inside a batch (not on a replayBatchEvents boundary) must
+// strictly inside a batch (not on a ringBatchEvents boundary) must
 // checkpoint at exactly that event, and the resumed replay must merge
 // into results and a telemetry sequence bit-identical to an
 // uninterrupted replay.
@@ -101,13 +101,13 @@ func TestResumeMidBatchBitIdentical(t *testing.T) {
 	}
 
 	breakAts := []int{
-		replayBatchEvents + 1337, // strictly inside the second batch
-		replayBatchEvents - 1,    // just before the first boundary
-		2*replayBatchEvents + 1,  // just past a boundary
-		len(events) - 3,          // inside the final partial batch
+		ringBatchEvents + 137, // strictly inside the second batch
+		ringBatchEvents - 1,   // just before the first boundary
+		2*ringBatchEvents + 1, // just past a boundary
+		len(events) - 3,       // inside the final partial batch
 	}
 	for _, breakAt := range breakAts {
-		if breakAt%replayBatchEvents == 0 {
+		if breakAt%ringBatchEvents == 0 {
 			t.Fatalf("breakAt %d is batch-aligned; the test needs mid-batch offsets", breakAt)
 		}
 		var tel bytes.Buffer

@@ -40,15 +40,16 @@ func SliceSource(events []trace.Event) Source {
 	}
 }
 
-// replayBatchEvents is the batch granularity of the replay hot path:
-// the number of events decoded, delivered to the fleet, and covered by
-// one cancellation check. Large enough to amortize the per-batch costs
-// (context check, fleet dispatch) to nothing per event, small enough
-// that cancellation still lands within a sliver of a run and a decoded
-// batch (4096 × 64-byte trace.Events, 256 KB) stays in L2. The fleet
-// resolves each batch in runs of at most 1024 events of its own (see
-// sim.Fleet.FeedBatch), so the batch size does not set the apply
-// working set.
+// replayBatchEvents is the length of the batches SliceBatchSource
+// cuts from an in-memory trace: the events delivered to the fleet and
+// covered by one cancellation check. Large enough to amortize the
+// per-batch costs (context check, fleet dispatch) to nothing per
+// event, small enough that cancellation still lands within a sliver of
+// a run. The pipelined adapters deliver batches of ringBatchEvents
+// instead (see pipelined). The fleet resolves each batch in runs of at
+// most 1024 events of its own (see sim.Fleet.FeedBatch), so the batch
+// size does not set the apply working set, and results do not depend
+// on it.
 const replayBatchEvents = 4096
 
 // BatchSource streams one trace as event batches in trace order: it
@@ -63,11 +64,11 @@ const replayBatchEvents = 4096
 // before the failure first (see BatchingSource): replay checkpoints
 // assume every decoded event before the error reached the runners.
 //
-// BatchingSource and ReaderBatchSource read one batch ahead: they
-// produce the next batch on a second goroutine while emit runs on the
-// current one, and join that goroutine before they return.
-// SliceBatchSource is synchronous: an in-memory slice has no work to
-// overlap.
+// BatchingSource and ReaderBatchSource read ahead through a ring of
+// eight 512-event batches: they produce on a second goroutine, up to
+// seven batches ahead of the one emit is applying, and join that
+// goroutine before they return (see pipelined). SliceBatchSource is
+// synchronous: an in-memory slice has no work to overlap.
 type BatchSource func(emit func([]trace.Event) error) error
 
 // SliceBatchSource adapts an in-memory trace to a BatchSource,
@@ -99,17 +100,18 @@ type BatchReader interface {
 // ReaderBatchSource adapts a BatchReader — a trace decoder, strict
 // (trace.NewReader) or recovering (trace.NewRecoveringReader), or a
 // workload generator — to a BatchSource: one ReadBatch call per batch,
-// each filling a reused buffer in place, with no per-event call
-// between the reader and the fleet. The loop runs on a second
-// goroutine, reading the next batch into the second of two buffers
-// while emit applies the current one (see pipelined). If the reader
-// fails mid-batch, the events it read before the failure are emitted
-// first.
+// each filling a 512-event slot of the adapter's ring in place, with
+// no per-event call between the reader and the fleet. The loop runs on
+// a second goroutine, reading into the free slots while emit applies
+// the current one (see pipelined). If the reader fails mid-batch, the
+// batches still queued are emitted, then the events it read before
+// the failure.
 //
 // The reading goroutine does not see the replay's context, only the
 // replay does, once per batch: after a cancellation the reader may
-// read up to two batches (2 × 4096 events) past the one being applied,
-// where BatchingSource's producer stops within one.
+// read up to the whole ring (7 × 512 queued events, plus 512 into the
+// slot the applied batch frees) past the one being applied, where
+// BatchingSource's producer stops within one batch.
 func ReaderBatchSource(rd BatchReader) BatchSource {
 	return pipelined(context.Background(), func(buf []trace.Event, handoff handoffFunc) ([]trace.Event, error) {
 		for {
@@ -128,22 +130,23 @@ func ReaderBatchSource(rd BatchReader) BatchSource {
 }
 
 // BatchingSource adapts a per-event Source to a BatchSource by
-// buffering up to replayBatchEvents events per emit. The source runs
-// on a second goroutine, filling the next batch while emit applies the
-// current one (see pipelined). If the source fails mid-stream, the
-// buffered prefix is flushed before the error is returned, so every
-// event the source produced has reached the runners — exactly the
-// per-event source's behavior, which is what keeps checkpoints
-// event-granular under batching. If both the flush and the source
-// fail, the flush error wins (it decides resumability).
+// buffering up to 512 events per emit. The source runs on a second
+// goroutine, filling the free slots of the adapter's ring while emit
+// applies the current one (see pipelined). If the source fails
+// mid-stream, the queued batches and then the buffered prefix are
+// flushed before the error is returned, so every event the source
+// produced has reached the runners — exactly the per-event source's
+// behavior, which is what keeps checkpoints event-granular under
+// batching. If both the flush and the source fail, the flush error
+// wins (it decides resumability).
 func BatchingSource(src Source) BatchSource {
 	return batching(context.Background(), src)
 }
 
 // batching is BatchingSource with its producer checking ctx before
 // every hand-off, so a cancelled replay stops the source within one
-// batch: without it, the producer would fill a second batch before the
-// replay's own ctx check could refuse the first.
+// batch: without it, the producer could fill the whole ring before the
+// replay's own ctx check refused the next batch.
 func batching(ctx context.Context, src Source) BatchSource {
 	return pipelined(ctx, func(buf []trace.Event, handoff handoffFunc) ([]trace.Event, error) {
 		err := src(func(e trace.Event) error {
@@ -170,9 +173,9 @@ func batching(ctx context.Context, src Source) BatchSource {
 // trace. A runner's feed error aborts the replay labelled with that
 // collector's name; a source error aborts it unchanged; cancellation
 // of ctx is checked once per batch, before the batch is applied, and
-// returns ctx's error. The source runs on a second goroutine, one
-// batch ahead of the runners (see BatchingSource), and stops within
-// one batch of a cancellation.
+// returns ctx's error. The source runs on a second goroutine, up to
+// seven 512-event batches ahead of the runners (see BatchingSource),
+// and stops within one batch of a cancellation.
 func Replay(ctx context.Context, src Source, cfgs []sim.Config) ([]*sim.Result, error) {
 	// Config validation happens before constructing any runner (see
 	// ReplayBatchesResumable): construction emits the probe's RunStart,

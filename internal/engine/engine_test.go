@@ -152,9 +152,9 @@ func TestReplayCancellation(t *testing.T) {
 	if results != nil {
 		t.Error("cancelled replay returned results")
 	}
-	// The check runs every replayBatchEvents events, so the replay must
-	// stop within one stride of the cancellation point.
-	if emitted > 100+replayBatchEvents {
+	// The producer checks ctx at every 512-event hand-off, so the
+	// replay must stop within one stride of the cancellation point.
+	if emitted > 100+ringBatchEvents {
 		t.Errorf("replay consumed %d events after cancellation, want prompt stop", emitted-100)
 	}
 }

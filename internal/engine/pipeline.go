@@ -9,14 +9,27 @@ import (
 
 // The batch adapters that do real work per batch — BatchingSource
 // running a generator, ReaderBatchSource decoding — produce on a
-// second goroutine, one batch ahead of the replay. The trace's
-// producer reads no collector state, so it can fill the next batch
-// while the caller's goroutine applies the current one; everything
-// that touches the fleet (resolve, apply, policy and probe callbacks,
-// compaction, the replay's per-batch ctx check) stays on the caller's
-// goroutine in the same order, so results cannot change. Only the
-// producer moves, and it writes into one of two adapter-owned buffers
-// while the caller reads the other, so nothing is copied.
+// second goroutine, up to seven batches ahead of the replay. The
+// trace's producer reads no collector state, so it can fill the next
+// batches while the caller's goroutine applies the current one;
+// everything that touches the fleet (resolve, apply, policy and probe
+// callbacks, compaction, the replay's per-batch ctx check) stays on the
+// caller's goroutine in the same order, so results cannot change. Only
+// the producer moves, and it writes into a ring of adapter-owned slots
+// that the caller reads in turn, so nothing is copied.
+//
+// The ring is eight slots of 512 events, one 256 KB allocation per
+// replay. A hand-off that finds the other goroutine parked costs a
+// wake-up, about 56 µs on a 2-vCPU host, and a consumer that waits for
+// every one sits idle for a fifth of a decoded replay. With up to seven
+// batches queued, neither goroutine parks after every batch. The shape
+// is measured, not derived: eight 256-event slots (1,792 queued
+// events) did not cover a wake-up and lost throughput, and eight
+// 1024-event slots hid the wake-ups too but held twice the bytes.
+const (
+	ringSlots       = 8
+	ringBatchEvents = 512
+)
 
 // errPipeStopped is what a producer's hand-off returns once the
 // caller has stopped taking batches (its emit failed, or it is
@@ -35,34 +48,42 @@ type producer func(buf []trace.Event, handoff handoffFunc) ([]trace.Event, error
 type handoffFunc func(batch []trace.Event) ([]trace.Event, error)
 
 // pipelined turns a producer into a BatchSource that runs it on its
-// own goroutine, at most one batch ahead of emit.
+// own goroutine, filling the slots of a ring that emit drains in
+// order.
 //
 //   - Checkpoints stay event-granular: a producer that fails after k
 //     events has handed over, or returns as its final batch, exactly
-//     those k, and they are emitted before its error. If that emit
-//     fails too, the emit error wins, as in BatchingSource.
+//     those k, and they are emitted in order before its error: the
+//     batches still queued, then the final one. If an emit fails too,
+//     the emit error wins, as in BatchingSource.
 //   - ctx is checked before every hand-off, so a cancelled replay
 //     reads at most the rest of the batch in progress; a batch that
 //     could not be handed over is dropped (the replay's own ctx check
-//     would refuse it).
+//     would refuse it). Once emit has failed, the producer stops at
+//     its next hand-off the same way, even where the ring has room.
 //   - The producer is joined before the source returns, on every path,
 //     and a panic in it re-panics on the caller's goroutine with the
 //     same value.
 func pipelined(ctx context.Context, produce producer) BatchSource {
 	return func(emit func([]trace.Event) error) error {
-		full := make(chan []trace.Event)
-		free := make(chan []trace.Event, 1)
+		// Each slot's capacity ends where the next slot starts. Both
+		// channels have room for every slot, so neither send blocks.
+		// The producer starts on slot 0 and closes full as it returns.
+		ring := make([]trace.Event, ringSlots*ringBatchEvents)
+		full := make(chan []trace.Event, ringSlots)
+		free := make(chan []trace.Event, ringSlots)
 		stop := make(chan struct{})
-		done := make(chan struct{})
-		free <- make([]trace.Event, 0, replayBatchEvents)
-		// Written by the producer before it closes done.
+		for i := ringBatchEvents; i < len(ring); i += ringBatchEvents {
+			free <- ring[i : i : i+ringBatchEvents]
+		}
+		// Written by the producer before it closes full.
 		var (
 			tail []trace.Event
 			perr error
 			pval any // a producer panic's value; never nil after a panic
 		)
 		go func() {
-			defer close(done)
+			defer close(full)
 			defer func() {
 				pval = recover()
 			}()
@@ -71,9 +92,10 @@ func pipelined(ctx context.Context, produce producer) BatchSource {
 					return b[:0], err
 				}
 				select {
-				case full <- b:
 				case <-stop:
 					return b[:0], errPipeStopped
+				default:
+					full <- b
 				}
 				select {
 				case next := <-free:
@@ -82,32 +104,29 @@ func pipelined(ctx context.Context, produce producer) BatchSource {
 					return b[:0], errPipeStopped
 				}
 			}
-			tail, perr = produce(make([]trace.Event, 0, replayBatchEvents), handoff)
+			tail, perr = produce(ring[:0:ringBatchEvents], handoff)
 		}()
 		err := func() error {
 			defer func() {
 				close(stop)
-				<-done
+				for range full {
+				}
 			}()
-			for {
-				select {
-				case b := <-full:
-					if err := emit(b); err != nil {
-						return err
-					}
-					free <- b[:0]
-				case <-done:
-					if pval != nil {
-						return nil
-					}
-					if len(tail) > 0 {
-						if err := emit(tail); err != nil {
-							return err
-						}
-					}
-					return perr
+			for b := range full {
+				if err := emit(b); err != nil {
+					return err
+				}
+				free <- b[:0]
+			}
+			if pval != nil {
+				return nil
+			}
+			if len(tail) > 0 {
+				if err := emit(tail); err != nil {
+					return err
 				}
 			}
+			return perr
 		}()
 		if pval != nil {
 			panic(pval)

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/dtbgc/dtbgc/internal/core"
 	"github.com/dtbgc/dtbgc/internal/sim"
@@ -56,7 +58,8 @@ var errEmit = errors.New("emit refused the batch")
 // emit error, cancellation — and a source panic re-panics on the
 // caller's goroutine with the same value, after the join.
 func TestPipelineJoinsOnEveryExit(t *testing.T) {
-	events := allocStream(5*replayBatchEvents + 17)
+	const batches = 5 * ringSlots // the stream outruns the ring
+	events := allocStream(batches*ringBatchEvents + 17)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	cases := []struct {
@@ -67,9 +70,9 @@ func TestPipelineJoinsOnEveryExit(t *testing.T) {
 		want            error
 	}{
 		{"end of stream", context.Background(), -1, -1, -1, nil},
-		{"source error", context.Background(), 2*replayBatchEvents + 5, -1, -1, errInjected{}},
+		{"source error", context.Background(), 2*ringSlots*ringBatchEvents + 5, -1, -1, errInjected{}},
 		{"emit error", context.Background(), -1, -1, 1, errEmit},
-		{"emit error on the final batch", context.Background(), -1, -1, 5, errEmit},
+		{"emit error on the final batch", context.Background(), -1, -1, batches, errEmit},
 		{"cancellation", cancelled, -1, -1, -1, context.Canceled},
 	}
 	for _, tc := range cases {
@@ -100,7 +103,7 @@ func TestPipelineJoinsOnEveryExit(t *testing.T) {
 		})
 	}
 
-	for _, panicAt := range []int{0, replayBatchEvents + 3} {
+	for _, panicAt := range []int{0, ringSlots*ringBatchEvents + 3} {
 		var returned atomic.Bool
 		src := BatchingSource(recordingSource(events, -1, panicAt, &returned))
 		v := func() (v any) {
@@ -115,6 +118,231 @@ func TestPipelineJoinsOnEveryExit(t *testing.T) {
 			t.Fatalf("panic at %d: adapter re-panicked before its source unwound", panicAt)
 		}
 	}
+}
+
+// sliceReader is a BatchReader over events. With failAt >= 0 it fails
+// with errInjected once it has handed out failAt of them. It closes
+// ended as it makes its last call: the one that fails or ends the
+// trace.
+type sliceReader struct {
+	events []trace.Event
+	failAt int
+	ended  chan struct{}
+}
+
+func (r *sliceReader) ReadBatch(dst []trace.Event) (int, error) {
+	if r.failAt >= 0 && r.failAt < len(dst) {
+		n := copy(dst, r.events[:r.failAt])
+		close(r.ended)
+		return n, errInjected{}
+	}
+	n := copy(dst, r.events)
+	r.events = r.events[n:]
+	r.failAt -= n
+	if n == 0 {
+		close(r.ended)
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// waitUntil polls cond, failing the test instead of hanging if the
+// pipeline never gets there.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("timed out waiting for %s", what)
+			return
+		}
+	}
+}
+
+// closed reports whether ch is closed.
+func closed(ch <-chan struct{}) func() bool {
+	return func() bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+// TestPipelineDrainsQueuedBatches: a producer that ends, or fails,
+// while batches are still queued in the ring has every event it
+// produced emitted exactly once and in order — the queued batches,
+// then its final partial batch — and only then its error. The
+// consumer holds its first batch until the producer has made its last
+// read, so the rest are all queued by the time it comes back.
+func TestPipelineDrainsQueuedBatches(t *testing.T) {
+	// Five full batches and a tail take six of the ring's eight slots,
+	// so the producer finishes without the consumer.
+	events := allocStream(5*ringBatchEvents + 17)
+	perEvent := func(failAt int, ended chan struct{}) BatchSource {
+		var returned atomic.Bool
+		inner := recordingSource(events, failAt, -1, &returned)
+		return BatchingSource(func(emit func(trace.Event) error) error {
+			defer close(ended)
+			return inner(emit)
+		})
+	}
+	reader := func(failAt int, ended chan struct{}) BatchSource {
+		return ReaderBatchSource(&sliceReader{events: events, failAt: failAt, ended: ended})
+	}
+	failAt := 3*ringBatchEvents + 100
+	cases := []struct {
+		name   string
+		src    func(failAt int, ended chan struct{}) BatchSource
+		failAt int
+		want   error
+	}{
+		{"source ends", perEvent, -1, nil},
+		{"source fails", perEvent, failAt, errInjected{}},
+		{"reader ends", reader, -1, nil},
+		{"reader fails", reader, failAt, errInjected{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ended := make(chan struct{})
+			var got []trace.Event
+			err := tc.src(tc.failAt, ended)(func(b []trace.Event) error {
+				if got == nil {
+					waitUntil(t, "the producer's last read with the first batch held", closed(ended))
+				}
+				got = append(got, b...)
+				return nil
+			})
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("error %v, want %v", err, tc.want)
+			}
+			want := events
+			if tc.failAt >= 0 {
+				want = events[:tc.failAt]
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("emit saw %d events, want the producer's %d exactly once and in order", len(got), len(want))
+			}
+		})
+	}
+}
+
+// countingSource is a per-event source over events that counts in
+// produced the events it has started to emit.
+func countingSource(events []trace.Event, produced *atomic.Int64) Source {
+	return func(emit func(trace.Event) error) error {
+		for _, e := range events {
+			produced.Add(1)
+			if err := emit(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestPipelineRunsAheadWithinRing: while the consumer holds its first
+// batch, the producer fills the ring's other seven slots — it gets
+// more than one batch ahead — and goes no further until that batch
+// comes back.
+func TestPipelineRunsAheadWithinRing(t *testing.T) {
+	const ring = ringSlots * ringBatchEvents
+	events := allocStream(3 * ring)
+	var produced atomic.Int64
+	var released, overran atomic.Bool
+	src := countingSource(events, &produced)
+	watched := func(emit func(trace.Event) error) error {
+		return src(func(e trace.Event) error {
+			if produced.Load() > ring && !released.Load() {
+				overran.Store(true)
+			}
+			return emit(e)
+		})
+	}
+	var got []trace.Event
+	err := BatchingSource(watched)(func(b []trace.Event) error {
+		if got == nil {
+			waitUntil(t, "the producer filling the ring", func() bool { return produced.Load() >= ring })
+			// Room for a producer that ignores the ring to show it.
+			time.Sleep(20 * time.Millisecond)
+			released.Store(true)
+		}
+		got = append(got, b...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if overran.Load() {
+		t.Errorf("the producer passed the ring's %d events while the consumer held its first batch", ring)
+	}
+	if !reflect.DeepEqual(got, events) {
+		t.Fatalf("emit saw %d events, want all %d in order", len(got), len(events))
+	}
+}
+
+// TestPipelineStopsAfterEmitError: once emit fails, the producer
+// finishes at most the batch in progress. With the ring full it cannot
+// start another, because the failed batch's slot never comes back.
+// With slots free it must still stop at its next hand-off, even though
+// the ring would accept the batch; that case runs on one P, so the
+// consumer has stopped before the producer, released, runs again.
+func TestPipelineStopsAfterEmitError(t *testing.T) {
+	events := allocStream(4 * ringSlots * ringBatchEvents)
+	// inProgressEnd is the end of the batch that holds event n-1: the
+	// producer's batch in progress once it has started n events.
+	inProgressEnd := func(n int64) int64 {
+		return (n + ringBatchEvents - 1) / ringBatchEvents * ringBatchEvents
+	}
+
+	t.Run("ring full", func(t *testing.T) {
+		var produced atomic.Int64
+		failAt := int64(7*ringBatchEvents + 100) // inside the eighth batch
+		var atErr int64
+		err := BatchingSource(countingSource(events, &produced))(func([]trace.Event) error {
+			waitUntil(t, "the producer's eighth batch", func() bool { return produced.Load() >= failAt })
+			atErr = produced.Load()
+			return errEmit
+		})
+		if !errors.Is(err, errEmit) {
+			t.Fatalf("error %v, want %v", err, errEmit)
+		}
+		if n := produced.Load(); n > inProgressEnd(atErr) {
+			t.Errorf("producer started %d events, %d when emit failed: past the batch in progress", n, atErr)
+		}
+	})
+
+	t.Run("slots free", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var produced atomic.Int64
+		blockAt := int64(ringBatchEvents + 10) // inside the second batch
+		release := make(chan struct{})
+		src := countingSource(events, &produced)
+		blocking := func(emit func(trace.Event) error) error {
+			return src(func(e trace.Event) error {
+				if produced.Load() == blockAt {
+					<-release
+				}
+				return emit(e)
+			})
+		}
+		var atErr int64
+		err := BatchingSource(blocking)(func([]trace.Event) error {
+			atErr = produced.Load()
+			close(release)
+			return errEmit
+		})
+		if !errors.Is(err, errEmit) {
+			t.Fatalf("error %v, want %v", err, errEmit)
+		}
+		if atErr != blockAt {
+			t.Fatalf("emit ran with %d events started, want the producer blocked at %d", atErr, blockAt)
+		}
+		if n := produced.Load(); n > inProgressEnd(atErr) {
+			t.Errorf("producer started %d events, %d when emit failed: past the batch in progress", n, atErr)
+		}
+	})
 }
 
 // watchedReader is an io.Reader that counts the Read calls in flight
@@ -209,9 +437,9 @@ func TestReaderPipelineJoinsOnEveryExit(t *testing.T) {
 }
 
 // TestResumeCancellationStride: Resume over a per-event source stops
-// its producer within one batch of a cancellation, as Replay does (see
-// TestReplayCancellation). The skipped prefix counts as source work,
-// so the bound is measured from the cancellation point.
+// its producer within one 512-event batch of a cancellation, as Replay
+// does (see TestReplayCancellation). The skipped prefix counts as
+// source work, so the bound is measured from the cancellation point.
 func TestResumeCancellationStride(t *testing.T) {
 	const total = 12 * replayBatchEvents
 	events := allocStream(total)
@@ -244,8 +472,8 @@ func TestResumeCancellationStride(t *testing.T) {
 	if results != nil {
 		t.Fatal("cancelled resume returned results")
 	}
-	if emitted > cancelAt+replayBatchEvents {
-		t.Errorf("resume consumed %d events after cancellation, want at most one %d-event stride", emitted-cancelAt, replayBatchEvents)
+	if emitted > cancelAt+ringBatchEvents {
+		t.Errorf("resume consumed %d events after cancellation, want at most one %d-event stride", emitted-cancelAt, ringBatchEvents)
 	}
 }
 
@@ -379,11 +607,12 @@ func (p *scavengeHook) RunFinish(sim.RunFinish) {}
 // TestGeneratedReplayCancellationOverrun pins how far a generator read
 // through ReaderBatchSource runs past a cancellation. Its producer
 // does not see the context, so only the replay's per-batch check stops
-// it: cancelled while a batch is applied, the replay refuses the next
-// batch, which the producer has read by then, and the producer reads
-// one more into the freed buffer before it sees the stop. That is at
-// most two batches after the cancellation, where BatchingSource's
-// producer, which checks the context, stops within one.
+// it: cancelled while batch k is applied, the replay refuses batch
+// k+1. By then the producer may have read k+1 through k+7 into the
+// ring's other seven slots and k+8 into the slot k frees, and it
+// stops at its next hand-off. That is at most the whole ring, 8 × 512
+// events, after the cancellation, where BatchingSource's producer,
+// which checks the context, stops within one batch.
 func TestGeneratedReplayCancellationOverrun(t *testing.T) {
 	g, err := workload.Ghost1().Scale(0.1).Generator()
 	if err != nil {
@@ -408,8 +637,8 @@ func TestGeneratedReplayCancellationOverrun(t *testing.T) {
 	if atCancel == 0 {
 		t.Fatal("the replay was never cancelled")
 	}
-	if over := cr.n.Load() - atCancel; over > 2*replayBatchEvents {
-		t.Errorf("generator read %d events after the cancellation, want at most two %d-event batches", over, replayBatchEvents)
+	if over := cr.n.Load() - atCancel; over > ringSlots*ringBatchEvents {
+		t.Errorf("generator read %d events after the cancellation, want at most the ring's %d × %d", over, ringSlots, ringBatchEvents)
 	}
 	if n := cr.n.Load(); n > 8*replayBatchEvents {
 		t.Errorf("generator read %d events in all, far past the cancellation", n)

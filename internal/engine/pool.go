@@ -20,11 +20,11 @@ type Job func(ctx context.Context) error
 // Concurrency: at most workers jobs run at once; workers <= 0 means
 // GOMAXPROCS. Scheduling cannot influence results — each job writes
 // only its own slot. A replay may run its source on a second
-// goroutine, one batch ahead (see BatchingSource), but that goroutine
-// only produces events into a buffer: every fleet step — resolve,
-// apply, policy and probe callbacks, compaction — runs on the job's
-// own goroutine in trace order, so the results are the same whichever
-// goroutine produced the events.
+// goroutine, a few batches ahead (see BatchingSource), but that
+// goroutine only produces events into a ring: every fleet step —
+// resolve, apply, policy and probe callbacks, compaction — runs on the
+// job's own goroutine in trace order, so the results are the same
+// whichever goroutine produced the events.
 //
 // Cancellation: the first failing job cancels the context handed to
 // every other job, so in-flight replays abort at their next per-batch

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -250,6 +251,53 @@ func TestRetiredIDReuseRejected(t *testing.T) {
 	// The failed resolve must leave the tape untouched.
 	if after := r.TapeStats(); after != before {
 		t.Fatalf("failed alloc mutated the tape: %+v -> %+v", before, after)
+	}
+}
+
+// TestRetiredIDReuseRejectedAcrossWrap: on the index's arithmetic arm
+// a compacting tape whose IDs wrap past 2^64−1 retires prefixes on
+// both sides of the wrap, keeps accepting the IDs that continue the
+// sequence without a retired-ID search, and still rejects the reuse of
+// a retired ID from either side, leaving the tape untouched.
+func TestRetiredIDReuseRejectedAcrossWrap(t *testing.T) {
+	r, err := NewRunner(Config{Mode: ModeNoGC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggressive(r.tape)
+	events := churnTrace(500, 20*kb, 5, 0)
+	const shift = 300 // the 300th alloc takes ID 0
+	first := events[0].ID - shift
+	for i := range events {
+		events[i].ID -= shift
+	}
+	if err := r.solo.FeedBatch(events); err != nil {
+		t.Fatal(err)
+	}
+	st := r.TapeStats()
+	if st.RetiredObjects <= shift+1 || st.RetiredIDSpans != 2 {
+		t.Fatalf("retirement did not cross the wrap: %+v", st)
+	}
+	if r.tape.index != nil {
+		t.Fatal("the wrapping sequence moved the tape onto its id map")
+	}
+	instr := events[len(events)-1].Instr + 1
+	for _, id := range []trace.ObjectID{first, math.MaxUint64, 0, 1} {
+		before := r.TapeStats()
+		err := r.Feed(trace.Alloc(id, 64, instr))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("duplicate allocation of object %d", id)) {
+			t.Fatalf("reuse of retired ID %d: error %v, want a duplicate allocation", id, err)
+		}
+		if after := r.TapeStats(); after != before {
+			t.Fatalf("failed alloc of %d mutated the tape: %+v -> %+v", id, before, after)
+		}
+	}
+	next := r.tape.idBase + trace.ObjectID(len(r.tape.births))
+	if err := r.Feed(trace.Alloc(next, 64, instr)); err != nil {
+		t.Fatalf("the ID continuing the sequence: %v", err)
+	}
+	if r.tape.index != nil {
+		t.Fatal("the ID continuing the sequence moved the tape onto its id map")
 	}
 }
 

@@ -470,7 +470,13 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 		}
 		// An ID missing from the index may still have been seen and
 		// retired by compaction; reusing it is the same trace defect.
-		if len(tp.retired) > 0 && tp.retired.contains(e.ID) {
+		// On the arithmetic arm an ID that continues the sequence needs
+		// no search: every retired ID is one of the retiredOrds IDs just
+		// below idBase (mod 2^64), and this one is len(births) above it,
+		// so the two could meet only once retiredOrds + len(births), the
+		// allocations so far, reached 2^64.
+		seq := tp.index == nil && e.ID == tp.idBase+trace.ObjectID(len(tp.births))
+		if !seq && len(tp.retired) > 0 && tp.retired.contains(e.ID) {
 			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("duplicate allocation of object %d", e.ID)}
 		}
 		if len(tp.births) >= tp.ordLimit {
@@ -485,7 +491,7 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 		// Every check has passed, so only now may the alloc move the
 		// index off its arithmetic arm. The trace's first alloc sets
 		// the base instead.
-		if tp.index == nil && e.ID != tp.idBase+trace.ObjectID(ord) {
+		if tp.index == nil && !seq {
 			if tp.retiredOrds == 0 && ord == 0 {
 				tp.idBase = e.ID
 			} else {

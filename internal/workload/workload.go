@@ -68,24 +68,28 @@ type Profile struct {
 	Classes    []Class
 }
 
-// Validate checks profile consistency.
+// Validate checks profile consistency. Every float field it reads
+// must be finite: each range check is written so that NaN fails it.
 func (p Profile) Validate() error {
 	if p.TotalBytes == 0 {
 		return fmt.Errorf("workload %s: zero TotalBytes", p.Name)
 	}
-	if p.ExecSeconds <= 0 {
-		return fmt.Errorf("workload %s: non-positive ExecSeconds", p.Name)
+	if !(p.ExecSeconds > 0) || math.IsInf(p.ExecSeconds, 1) {
+		return fmt.Errorf("workload %s: ExecSeconds %v is not positive and finite", p.Name, p.ExecSeconds)
 	}
-	if p.MeanObject < 16 {
-		return fmt.Errorf("workload %s: MeanObject %v too small", p.Name, p.MeanObject)
+	if !(p.MeanObject >= 16) || math.IsInf(p.MeanObject, 1) {
+		return fmt.Errorf("workload %s: MeanObject %v too small or not finite", p.Name, p.MeanObject)
+	}
+	if math.IsNaN(p.SigmaObject) || math.IsInf(p.SigmaObject, 0) {
+		return fmt.Errorf("workload %s: SigmaObject %v not finite", p.Name, p.SigmaObject)
 	}
 	if len(p.Classes) == 0 {
 		return fmt.Errorf("workload %s: no lifetime classes", p.Name)
 	}
 	sum := 0.0
 	for i, c := range p.Classes {
-		if c.Fraction < 0 {
-			return fmt.Errorf("workload %s: class %d negative fraction", p.Name, i)
+		if !(c.Fraction >= 0) || math.IsInf(c.Fraction, 1) {
+			return fmt.Errorf("workload %s: class %d fraction %v is negative or not finite", p.Name, i, c.Fraction)
 		}
 		if c.Permanent && c.DieAtPhaseEnd {
 			return fmt.Errorf("workload %s: class %d both permanent and phase-bound", p.Name, i)
@@ -93,8 +97,8 @@ func (p Profile) Validate() error {
 		if c.DieAtPhaseEnd && p.PhaseBytes == 0 {
 			return fmt.Errorf("workload %s: class %d dies at phase end but PhaseBytes is 0", p.Name, i)
 		}
-		if !c.Permanent && !c.DieAtPhaseEnd && c.MeanLife <= 0 {
-			return fmt.Errorf("workload %s: class %d non-positive lifetime", p.Name, i)
+		if !c.Permanent && !c.DieAtPhaseEnd && (!(c.MeanLife > 0) || math.IsInf(c.MeanLife, 1)) {
+			return fmt.Errorf("workload %s: class %d lifetime %v is not positive and finite", p.Name, i, c.MeanLife)
 		}
 		sum += c.Fraction
 	}
@@ -107,9 +111,11 @@ func (p Profile) Validate() error {
 // Scale returns a copy with total allocation (and thus run length)
 // multiplied by f, preserving rates and the lifetime mixture. Useful
 // for fast tests. Lifetimes are unchanged: they are already expressed
-// on the allocation clock.
+// on the allocation clock. f must be positive: Scale panics on zero, a
+// negative f or NaN, and an infinite f leaves ExecSeconds infinite,
+// which Validate rejects.
 func (p Profile) Scale(f float64) Profile {
-	if f <= 0 {
+	if !(f > 0) {
 		panic("workload: Scale requires f > 0")
 	}
 	q := p

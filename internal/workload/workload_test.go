@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -44,6 +45,23 @@ func TestValidateRejections(t *testing.T) {
 			p.PhaseBytes = kb
 			p.Classes = []Class{{Fraction: 1, Permanent: true, DieAtPhaseEnd: true}}
 		}},
+	}
+	// Every float field fails on NaN and infinities, which a plain
+	// x <= 0 or x < 16 comparison lets through.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cases = append(cases, []struct {
+			name   string
+			mutate func(*Profile)
+		}{
+			{fmt.Sprintf("exec %v", bad), func(p *Profile) { p.ExecSeconds = bad }},
+			{fmt.Sprintf("mean object %v", bad), func(p *Profile) { p.MeanObject = bad }},
+			{fmt.Sprintf("sigma %v", bad), func(p *Profile) { p.SigmaObject = bad }},
+			{fmt.Sprintf("fraction %v", bad), func(p *Profile) { p.Classes[0].Fraction = bad }},
+			{fmt.Sprintf("fraction %v beside a valid class", bad), func(p *Profile) {
+				p.Classes = []Class{{Fraction: 1, MeanLife: kb}, {Fraction: bad, Permanent: true}}
+			}},
+			{fmt.Sprintf("lifetime %v", bad), func(p *Profile) { p.Classes[0].MeanLife = bad }},
+		}...)
 	}
 	for _, c := range cases {
 		p := base
@@ -187,12 +205,16 @@ func TestScale(t *testing.T) {
 }
 
 func TestScalePanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Scale(0) did not panic")
-		}
-	}()
-	Ghost1().Scale(0)
+	for _, f := range []float64{0, -1, math.NaN()} {
+		func() {
+			defer func() {
+				if v := recover(); v != "workload: Scale requires f > 0" {
+					t.Errorf("Scale(%v) recovered %v, want the documented panic", f, v)
+				}
+			}()
+			Ghost1().Scale(f)
+		}()
+	}
 }
 
 func TestByName(t *testing.T) {

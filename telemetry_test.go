@@ -2,9 +2,13 @@ package dtbgc
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/dtbgc/dtbgc/internal/core"
 )
@@ -129,6 +133,34 @@ func TestEvalRejectsEmptyProfiles(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "Profiles is empty") {
 		t.Errorf("unhelpful error: %v", err)
+	}
+}
+
+// TestEvalRejectsBadScale: a negative, NaN or infinite scale is an
+// error before anything is scaled or generated — not a panic, and not
+// a trace so long the evaluation runs until its deadline.
+func TestEvalRejectsBadScale(t *testing.T) {
+	for _, scale := range []float64{-1, math.NaN(), math.Inf(1)} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		start := time.Now()
+		_, err := RunPaperEvaluationContext(ctx, EvalOptions{Scale: scale})
+		cancel()
+		if err == nil || errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "Scale") {
+			t.Errorf("scale %v: error %v, want one naming the scale", scale, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("scale %v: refused after %v, want before any work", scale, d)
+		}
+	}
+}
+
+// TestAppEvalRejectsNegativeCounts: a negative app size is an error up
+// front; a negative PLA batch used to panic on a worker goroutine.
+func TestAppEvalRejectsNegativeCounts(t *testing.T) {
+	for _, opts := range []AppEvalOptions{{GhostPages: -1}, {EspressoProblems: -1}, {SisVectors: -1}} {
+		if _, err := RunAppEvaluation(opts); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%+v: error %v, want a negative-count error", opts, err)
+		}
 	}
 }
 
