@@ -32,6 +32,11 @@ func primesUpTo(n int) []uint64 {
 			continue
 		}
 		primes = append(primes, uint64(p))
+		// p*p >= n leaves nothing to cross off; testing it by division
+		// keeps p*p from wrapping where int is 32 bits wide.
+		if p > (n-1)/p {
+			continue
+		}
 		for q := p * p; q < n; q += p {
 			sieve[q] = true
 		}

@@ -109,8 +109,10 @@ func hashString(s string) uint32 {
 	return h
 }
 
+// bucket reduces the hash in uint32, so a hash of 2^31 or more cannot
+// become a negative int where int is 32 bits wide.
 func (d *Dict) bucket(key string) int {
-	return int(hashString(key)) % VLen(d.a.Heap(), d.table)
+	return int(hashString(key) % uint32(VLen(d.a.Heap(), d.table)))
 }
 
 // Set binds key to value, replacing any existing binding.

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"hash/crc32"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,7 +22,10 @@ import (
 // (policy case, spaces and byte-count units, workload case and alias,
 // digest case) share its key; and for a sample of accepted requests,
 // the request and its respelling replay on two fresh servers to
-// byte-identical payloads, neither answering 5xx.
+// byte-identical payloads, neither answering 5xx. The other half: every
+// request that changes one result-affecting field (see mutants) and
+// still normalizes to the original's key replays to the original's
+// payload, since the memo would serve it the original's answer.
 func FuzzEvalRequest(f *testing.F) {
 	events := dtbgc.WorkloadByName("GHOST(1)").Scale(0.005).MustGenerate()
 	var upload bytes.Buffer
@@ -66,21 +71,104 @@ func FuzzEvalRequest(f *testing.F) {
 				t.Fatalf("respelled as %q, %q, %q: %v, key %s; want key %s", v.Policy, v.Workload, v.TraceDigest, err, v.memoKey(), key)
 			}
 		}
-		if crc32.ChecksumIEEE([]byte(key))%8 != 0 {
-			return // replay a sample
+		var collisions []EvalRequest
+		for _, m := range mutants(raw, norm) {
+			if mn := m; mn.normalize() == nil && mn.memoKey() == key {
+				collisions = append(collisions, m)
+			}
 		}
-		raw.DeadlineMs = 0 // a timeout is a 504 by design; the sample checks the answer
-		last := variants[len(variants)-1]
-		last.DeadlineMs = 0
+		sampled := crc32.ChecksumIEEE([]byte(key))%8 == 0
+		if !sampled && len(collisions) == 0 {
+			return // replay a sample, and every collision
+		}
+		raw.DeadlineMs = 0 // a timeout is a 504 by design; the replays check the answer
 		code, got := replayFresh(t, upload.Bytes(), raw)
-		vcode, vgot := replayFresh(t, upload.Bytes(), last)
-		if code >= 500 || vcode >= 500 || code != vcode {
-			t.Fatalf("%s: HTTP %d, respelled HTTP %d", key, code, vcode)
+		same := func(what string, r EvalRequest) {
+			t.Helper()
+			r.DeadlineMs = 0
+			vcode, vgot := replayFresh(t, upload.Bytes(), r)
+			if code >= 500 || vcode >= 500 || code != vcode {
+				t.Fatalf("%s: HTTP %d, %s HTTP %d", key, code, what, vcode)
+			}
+			if code == http.StatusOK && (!bytes.Equal(got.Result, vgot.Result) || got.Telemetry != vgot.Telemetry) {
+				t.Fatalf("%s: %s request replayed to a different payload", key, what)
+			}
 		}
-		if code == http.StatusOK && (!bytes.Equal(got.Result, vgot.Result) || got.Telemetry != vgot.Telemetry) {
-			t.Fatalf("%s: respelled request replayed to a different payload", key)
+		if sampled {
+			same("respelled", variants[len(variants)-1])
+		}
+		for _, m := range collisions {
+			body, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("same-keyed mutant "+string(body), m)
 		}
 	})
+}
+
+// mutants returns raw with one result-affecting field changed per
+// request: a policy parameter or the baseline; the trigger, scale or
+// policy seed; the label or telemetry; a machine rate, the page frames
+// or page bytes; or opportunistic. Some write out in raw a default that
+// norm filled in, and so should keep the key; the others should not.
+// A request that would be raw unchanged is left out.
+func mutants(raw, norm EvalRequest) []EvalRequest {
+	var out []EvalRequest
+	add := func(set func(*EvalRequest)) {
+		r := raw
+		set(&r)
+		if !reflect.DeepEqual(r, raw) {
+			out = append(out, r)
+		}
+	}
+	if p := bumpLastNumber(norm.Policy); p != norm.Policy {
+		add(func(r *EvalRequest) { r.Policy = p })
+	}
+	switch norm.Baseline {
+	case "":
+		add(func(r *EvalRequest) { r.Policy, r.Baseline = "", "nogc" })
+	case "nogc":
+		add(func(r *EvalRequest) { r.Baseline = "live" })
+	default:
+		add(func(r *EvalRequest) { r.Baseline = "nogc" })
+	}
+	add(func(r *EvalRequest) { r.TriggerBytes = norm.TriggerBytes })
+	add(func(r *EvalRequest) { r.TriggerBytes = norm.TriggerBytes + 4096 })
+	if norm.Workload != "" {
+		add(func(r *EvalRequest) { r.Scale = norm.Scale })
+		add(func(r *EvalRequest) { r.Scale = norm.Scale / 2 })
+	}
+	add(func(r *EvalRequest) { r.PolicySeed = norm.PolicySeed + 1 })
+	add(func(r *EvalRequest) { r.Label = norm.Label + "x" })
+	add(func(r *EvalRequest) { r.Telemetry = !norm.Telemetry })
+	machine := func(mips, rate float64) func(*EvalRequest) {
+		return func(r *EvalRequest) { r.Machine = &MachineSpec{MIPS: mips, TraceBytesPer: rate} }
+	}
+	add(machine(norm.Machine.MIPS, norm.Machine.TraceBytesPer))
+	add(machine(2*norm.Machine.MIPS, norm.Machine.TraceBytesPer))
+	add(machine(norm.Machine.MIPS, 2*norm.Machine.TraceBytesPer))
+	add(func(r *EvalRequest) { r.PageFrames = norm.PageFrames%64 + 1 })
+	add(func(r *EvalRequest) { r.PageBytes = norm.PageBytes })
+	add(func(r *EvalRequest) { r.PageBytes = norm.PageBytes + minPageBytes })
+	add(func(r *EvalRequest) { r.Opportunistic = !norm.Opportunistic })
+	return out
+}
+
+// bumpLastNumber adds one to the last run of digits in a canonical
+// policy spec, which changes its last parameter ("dtbfm:51200",
+// "bandit:eps=0.1,arms=8"); a spec without one comes back unchanged.
+func bumpLastNumber(spec string) string {
+	end := strings.LastIndexAny(spec, "0123456789") + 1
+	start := end
+	for start > 0 && spec[start-1] >= '0' && spec[start-1] <= '9' {
+		start--
+	}
+	n, err := strconv.ParseUint(spec[start:end], 10, 64)
+	if err != nil || n == math.MaxUint64 {
+		return spec
+	}
+	return spec[:start] + strconv.FormatUint(n+1, 10) + spec[end:]
 }
 
 // capCost keeps one replay cheap: a fuzzed request may ask for an

@@ -11,10 +11,10 @@ package sim
 // from its own heap, the ordinal prefix is unreachable from every
 // side and can be retired: its IDs summarized into retired ID spans
 // (so duplicate-allocation detection survives) and dropped from the
-// index, the per-ordinal arrays shifted down behind a sliding base,
-// every retained ordinal rebased, and the bucket prefix trimmed. Replay
-// memory then tracks the live set plus one birth epoch instead of the
-// total number of objects traced.
+// index, its whole chunks of births and dead flags set aside for
+// reuse, every retained ordinal rebased, and the bucket prefix
+// trimmed. Replay memory then tracks the live set plus one birth epoch
+// instead of the total number of objects traced.
 //
 // Compaction is invisible: results, telemetry and error text are
 // bit-identical with it on or off (Config.UncompactedTape), which the
@@ -32,9 +32,9 @@ import (
 )
 
 // Compaction defaults. The cadence keeps the check off the per-event
-// path; the retire and trim minimums amortize the O(retained) shift
+// path; the retire and trim minimums amortize the O(retained) rebase
 // (and, on the index's map arm, map rewrite) so compaction costs O(1)
-// per event and the arrays never hold more than ~4/3 of their retired
+// per event and the tape never holds more than ~4/3 of its retired
 // high-water mark.
 const (
 	compactCheckEvery     = 4096
@@ -74,7 +74,7 @@ func tapeCompactionAllowed(runners []*Runner) bool {
 // for nothing here: the caller already stops at the first live birth
 // bucket.
 func (tp *tape) retainedFloor(runners []*Runner) int {
-	floor := len(tp.births)
+	floor := tp.ords
 	for _, r := range runners {
 		switch {
 		case r.sweeps && len(r.objs) > 0:
@@ -152,24 +152,25 @@ func (tp *tape) maybeCompact(runners []*Runner) {
 	// comparison is on bucket identity — a computed epoch clock could
 	// overflow at the top of the clock space.
 	limit := tp.bucketBase + uint64(z)
-	k := sort.Search(len(tp.births), func(i int) bool { return birthBucket(tp.births[i]) >= limit })
+	k := sort.Search(tp.ords, func(i int) bool { return birthBucket(tp.birth(i)) >= limit })
 	k = min(k, tp.retainedFloor(runners))
-	if k >= tp.minRetire && 4*k >= len(tp.births) {
+	if k >= tp.minRetire && 4*k >= tp.ords {
 		tp.retire(k, runners)
 	}
 	tp.trimBuckets()
 }
 
 // retire drops the first k ordinals (k ≥ 1) from the tape: their IDs
-// leave the index into the retired span summary, the per-ordinal
-// arrays shift down in place (capacity is reused — the arrays'
-// footprint is their retained high-water mark) with born0 moving to
-// the last retired birth, the index is rebased, the consumed
-// death-log prefix is dropped and the rest of the log rebased, and
-// every runner shifts its own per-ordinal state. On the index's
-// arithmetic arm the retired IDs are one span (two if they wrap past
-// 2^64−1) and the rebase is the base advancing by k; the map arm
-// deletes the retired entries and rewrites every retained one.
+// leave the index into the retired span summary, born0 moves to the
+// last retired birth, front advances by k and the chunks it passes
+// wholly become spares (so the tape's footprint is its retained
+// high-water mark, and a compacting replay allocates no chunk once it
+// has reached it), the index is rebased, the consumed death-log
+// prefix is dropped and the rest of the log rebased, and every runner
+// shifts its own per-ordinal state. On the index's arithmetic arm the
+// retired IDs are one span (two if they wrap past 2^64−1) and the
+// rebase is the base advancing by k; the map arm deletes the retired
+// entries and rewrites every retained one.
 func (tp *tape) retire(k int, runners []*Runner) {
 	d := int32(k)
 	if tp.index == nil {
@@ -191,9 +192,18 @@ func (tp *tape) retire(k int, runners []*Runner) {
 		}
 		tp.ids = tp.ids[:copy(tp.ids, tp.ids[k:])]
 	}
-	tp.born0 = tp.births[k-1]
-	tp.births = tp.births[:copy(tp.births, tp.births[k:])]
-	tp.dead = tp.dead[:copy(tp.dead, tp.dead[k:])]
+	tp.born0 = tp.birth(k - 1)
+	// Swapping each retained chunk n places down carries the n dropped
+	// ones past the retained, where push finds them as spares.
+	p, chunks := tp.front+k, tp.chunks
+	n := p / tapeChunkOrds
+	for i := range len(chunks) - n {
+		chunks[i], chunks[i+n] = chunks[i+n], chunks[i]
+	}
+	tp.chunks = chunks[:len(chunks)-n]
+	tp.spare += n
+	tp.front = p % tapeChunkOrds
+	tp.ords -= k
 	tp.retiredOrds += uint64(k)
 	// Entries before the slowest cursor may name retired ordinals; every
 	// later one is at or above the retained floor, so at least k.
@@ -290,7 +300,7 @@ func (s *idSpans) addRange(lo, hi trace.ObjectID) {
 // compaction retires prefixes; Retired* counts only grow.
 type TapeStats struct {
 	Events          int    // trace events resolved
-	RetainedObjects int    // ordinals currently held in the tape arrays
+	RetainedObjects int    // ordinals currently held on the tape
 	RetiredObjects  uint64 // ordinals retired behind the sliding base
 	RetiredIDSpans  int    // spans summarizing the retired IDs
 	Buckets         int    // birth-epoch buckets currently held
@@ -302,7 +312,7 @@ type TapeStats struct {
 func (tp *tape) stats() TapeStats {
 	return TapeStats{
 		Events:          tp.events,
-		RetainedObjects: len(tp.births),
+		RetainedObjects: tp.ords,
 		RetiredObjects:  tp.retiredOrds,
 		RetiredIDSpans:  len(tp.retired),
 		Buckets:         len(tp.liveByBirth),

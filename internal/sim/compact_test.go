@@ -292,7 +292,7 @@ func TestRetiredIDReuseRejectedAcrossWrap(t *testing.T) {
 			t.Fatalf("failed alloc of %d mutated the tape: %+v -> %+v", id, before, after)
 		}
 	}
-	next := r.tape.idBase + trace.ObjectID(len(r.tape.births))
+	next := r.tape.idBase + trace.ObjectID(r.tape.ords)
 	if err := r.Feed(trace.Alloc(next, 64, instr)); err != nil {
 		t.Fatalf("the ID continuing the sequence: %v", err)
 	}
@@ -436,8 +436,8 @@ func TestMaxBucketsGuard(t *testing.T) {
 	if !strings.Contains(err.Error(), "birth bucket") {
 		t.Fatalf("bucket-range error = %q", err)
 	}
-	if tp.events != 1 || len(tp.births) != 1 {
-		t.Fatalf("failed alloc mutated the tape: %d events, %d ordinals", tp.events, len(tp.births))
+	if tp.events != 1 || tp.ords != 1 {
+		t.Fatalf("failed alloc mutated the tape: %d events, %d ordinals", tp.events, tp.ords)
 	}
 	if tp.index != nil {
 		t.Fatal("rejected non-consecutive alloc moved the index onto its map arm")

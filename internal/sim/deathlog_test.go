@@ -210,7 +210,7 @@ func TestTenuredSet(t *testing.T) {
 	for i := range sizes {
 		sizes[i] = 1 + g.next()%1000
 		clock = clock.Add(sizes[i])
-		tp.births = append(tp.births, clock)
+		tp.push(clock)
 	}
 	var set tenuredSet
 	var model []int32 // the members, unordered

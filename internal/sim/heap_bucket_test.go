@@ -42,7 +42,7 @@ func buildBucketTestTape(t testing.TB, objects int) (*tape, []core.Time) {
 		// Kill roughly half of the recent past.
 		if i > 0 && g.next()%2 == 0 {
 			victim := trace.ObjectID(1 + g.next()%uint64(i))
-			if ord, ok := tp.lookup(victim); ok && !tp.dead[ord] {
+			if ord, ok := tp.lookup(victim); ok && !tp.isDead(int(ord)) {
 				if err := tp.resolve(trace.Free(victim, uint64(i)), &out); err != nil {
 					t.Fatalf("free %d: %v", victim, err)
 				}
@@ -94,7 +94,7 @@ func TestLiveBytesBornAfterTracksMutation(t *testing.T) {
 		births = append(births, tp.clock)
 		if i%3 == 2 {
 			victim := trace.ObjectID(1 + g.next()%uint64(i))
-			if ord, ok := tp.lookup(victim); ok && !tp.dead[ord] {
+			if ord, ok := tp.lookup(victim); ok && !tp.isDead(int(ord)) {
 				if err := tp.resolve(trace.Free(victim, uint64(i)), &out); err != nil {
 					t.Fatalf("free: %v", err)
 				}

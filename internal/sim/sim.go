@@ -311,11 +311,11 @@ type resolved struct {
 // Objects are numbered by dense ordinals in allocation order,
 // relative to a sliding base: epoch-based compaction (see compact.go)
 // retires the prefix of ordinals whose whole birth cohort is dead and
-// no runner can address again, shifting the per-ordinal arrays down
-// and rebasing every retained ordinal, so the tape's footprint tracks
-// the live set plus one birth epoch instead of the total number of
-// objects the trace ever allocated. Retired trace IDs leave the index
-// but stay summarized in a merged span set, so the validation
+// no runner can address again, dropping whole chunks off the front
+// (see tapeChunk) and rebasing every retained ordinal, so the tape's
+// footprint tracks the live set plus one birth epoch instead of the
+// total number of objects the trace ever allocated. Retired trace IDs
+// leave the index but stay summarized in a merged span set, so the validation
 // contract survives compaction intact: trace IDs are unique for the
 // lifetime of a trace (see trace.Validate), and an ID that reuses a
 // retired object's number is still rejected as a duplicate
@@ -341,8 +341,15 @@ type tape struct {
 	index  map[trace.ObjectID]int32 // nil on the arithmetic arm (see lookup)
 	idBase trace.ObjectID           // arithmetic arm: the ID of ordinal 0
 	ids    []trace.ObjectID         // map arm only, per ordinal: retire summarizes retired IDs from it and drops them from the map
-	births []core.Time              // per ordinal, nondecreasing: the clock just after its alloc
-	dead   []bool                   // per ordinal: freed by the program
+	// chunks holds the retained ordinals' births and dead flags, ordinal
+	// o at slot front+o counted across the chunks (see slot); ords is
+	// how many ordinals are retained. Past its length the list's backing
+	// array holds spare chunks that retire dropped, which push reuses
+	// before it allocates another.
+	chunks []*tapeChunk
+	spare  int
+	front  int
+	ords   int
 	// born0 is the clock just before ordinal 0's alloc: zero until
 	// retire moves it to the last retired ordinal's birth. Sizes are
 	// not stored (see size).
@@ -415,6 +422,21 @@ type death struct {
 	size uint64
 }
 
+// tapeChunkOrds is how many ordinals one tapeChunk holds.
+const tapeChunkOrds = 2048
+
+// tapeChunk holds the births and dead flags of tapeChunkOrds
+// consecutive ordinals, in one allocation of 18 KB. A tape grows by
+// whole chunks, so a replay never regrows or copies its per-ordinal
+// state and holds no growth slack beyond its last chunk, and retire
+// drops whole chunks instead of copying the retained ordinals down.
+// One slot lookup serves a free's double-free check, its dead flag,
+// its birth and, except at a chunk's first slot, the birth before it.
+type tapeChunk struct {
+	births [tapeChunkOrds]core.Time // nondecreasing: the clock just after each alloc
+	dead   [tapeChunkOrds]bool      // freed by the program
+}
+
 func newTape() *tape {
 	return &tape{
 		checkEvery:     compactCheckEvery,
@@ -472,22 +494,22 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 		// retired by compaction; reusing it is the same trace defect.
 		// On the arithmetic arm an ID that continues the sequence needs
 		// no search: every retired ID is one of the retiredOrds IDs just
-		// below idBase (mod 2^64), and this one is len(births) above it,
-		// so the two could meet only once retiredOrds + len(births), the
-		// allocations so far, reached 2^64.
-		seq := tp.index == nil && e.ID == tp.idBase+trace.ObjectID(len(tp.births))
+		// below idBase (mod 2^64), and this one is ords above it, so the
+		// two could meet only once retiredOrds + ords, the allocations
+		// so far, reached 2^64.
+		seq := tp.index == nil && e.ID == tp.idBase+trace.ObjectID(tp.ords)
 		if !seq && len(tp.retired) > 0 && tp.retired.contains(e.ID) {
 			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("duplicate allocation of object %d", e.ID)}
 		}
-		if len(tp.births) >= tp.ordLimit {
-			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("tape ordinal limit: %d objects retained at once", len(tp.births))}
+		if tp.ords >= tp.ordLimit {
+			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("tape ordinal limit: %d objects retained at once", tp.ords)}
 		}
 		clock := tp.clock.Add(e.Size)
 		b := birthBucket(clock)
 		if b-tp.bucketBase >= tp.maxBuckets {
 			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("birth bucket %d out of range (base %d, limit %d buckets)", b, tp.bucketBase, tp.maxBuckets)}
 		}
-		ord := int32(len(tp.births))
+		ord := int32(tp.ords)
 		// Every check has passed, so only now may the alloc move the
 		// index off its arithmetic arm. The trace's first alloc sets
 		// the base instead.
@@ -503,8 +525,7 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 			tp.ids = append(tp.ids, e.ID)
 		}
 		tp.clock = clock
-		tp.births = append(tp.births, clock)
-		tp.dead = append(tp.dead, false)
+		tp.push(clock)
 		tp.live += e.Size
 		rb := int(b - tp.bucketBase)
 		if rb >= len(tp.liveByBirth) {
@@ -527,16 +548,17 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 			}
 			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("free of unknown object %d", e.ID)}
 		}
-		if tp.dead[ord] {
+		c, s := tp.slot(int(ord))
+		if c.dead[s] {
 			return &TraceError{Event: i, Object: e.ID, Defect: fmt.Sprintf("double free of object %d", e.ID)}
 		}
-		tp.dead[ord] = true
-		size := tp.size(int(ord))
+		c.dead[s] = true
+		size := tp.sizeAt(int(ord), c, s)
 		tp.live -= size
 		// A live object's bucket holds its size, or counts it in
 		// zeroLive, so it can never be part of a trimmed (all-dead)
 		// prefix: the subtraction index is always in range.
-		b := birthBucket(tp.births[ord])
+		b := birthBucket(c.births[s])
 		tp.liveByBirth[b-tp.bucketBase] -= size
 		if size == 0 {
 			tp.noteZeroSize(b, -1)
@@ -585,7 +607,7 @@ func (tp *tape) noteZeroSize(b uint64, d int) {
 // rejects IDs on either side of it.
 func (tp *tape) lookup(id trace.ObjectID) (int32, bool) {
 	if tp.index == nil {
-		if d := uint64(id - tp.idBase); d < uint64(len(tp.births)) {
+		if d := uint64(id - tp.idBase); d < uint64(tp.ords) {
 			return int32(d), true
 		}
 		return 0, false
@@ -598,7 +620,7 @@ func (tp *tape) lookup(id trace.ObjectID) (int32, bool) {
 // retained ordinal's ID was idBase+ordinal, which is what it keys the
 // map and fills the ids array with.
 func (tp *tape) mapIndex() {
-	n := len(tp.births)
+	n := tp.ords
 	tp.index = make(map[trace.ObjectID]int32, n)
 	tp.ids = make([]trace.ObjectID, n)
 	for ord := range tp.ids {
@@ -608,29 +630,87 @@ func (tp *tape) mapIndex() {
 	}
 }
 
+// slot returns the chunk holding retained ordinal ord and ord's index
+// in it.
+func (tp *tape) slot(ord int) (*tapeChunk, int) {
+	p := uint(tp.front + ord)
+	return tp.chunks[p/tapeChunkOrds], int(p % tapeChunkOrds)
+}
+
+// push appends an ordinal born at clock, live. When the last chunk is
+// full it takes a spare chunk, or allocates one if none is left.
+func (tp *tape) push(clock core.Time) {
+	p := uint(tp.front + tp.ords)
+	if int(p/tapeChunkOrds) == len(tp.chunks) {
+		if tp.spare > 0 {
+			tp.chunks = tp.chunks[:len(tp.chunks)+1]
+			tp.spare--
+		} else {
+			tp.chunks = append(tp.chunks, new(tapeChunk))
+		}
+	}
+	c, s := tp.chunks[p/tapeChunkOrds], p%tapeChunkOrds
+	c.births[s] = clock
+	c.dead[s] = false
+	tp.ords++
+}
+
+// birth returns the clock just after ordinal ord's alloc.
+func (tp *tape) birth(ord int) core.Time {
+	c, s := tp.slot(ord)
+	return c.births[s]
+}
+
+// before returns the clock just before ordinal ord's alloc: the
+// previous ordinal's birth, or born0 for ordinal 0.
+func (tp *tape) before(ord int) core.Time {
+	if ord == 0 {
+		return tp.born0
+	}
+	return tp.birth(ord - 1)
+}
+
+// run returns the births and dead flags of ordinal ord and of the
+// retained ordinals after it in the same chunk.
+func (tp *tape) run(ord int) ([]core.Time, []bool) {
+	c, s := tp.slot(ord)
+	e := min(tapeChunkOrds, s+tp.ords-ord)
+	return c.births[s:e], c.dead[s:e]
+}
+
 // size returns ordinal ord's size. The tape keeps no size array: an
 // alloc advances the clock by exactly its size and records the clock
 // after it as the ordinal's birth, so the size is the distance from
-// the clock just before it — the previous ordinal's birth, or born0
-// for ordinal 0. The Bytes() values subtract modulo 2^64, so the
-// distance is exact even where the clock wraps.
+// the clock just before it (see before). The Bytes() values subtract
+// modulo 2^64, so the distance is exact even where the clock wraps.
 func (tp *tape) size(ord int) uint64 {
+	c, s := tp.slot(ord)
+	return tp.sizeAt(ord, c, s)
+}
+
+// sizeAt is size(ord) for the ordinal at slot s of chunk c. The birth
+// before it is the slot before it in the same chunk, except at a
+// chunk's first slot. That holds for ordinal 0 as well when retire
+// left it mid-chunk: the slots below front keep the retired births,
+// and the one just below front is born0.
+func (tp *tape) sizeAt(ord int, c *tapeChunk, s int) uint64 {
 	prev := tp.born0
-	if ord > 0 {
-		prev = tp.births[ord-1]
+	if s > 0 {
+		prev = c.births[s-1]
+	} else if ord > 0 {
+		prev = tp.birth(ord - 1)
 	}
-	return tp.births[ord].Bytes() - prev.Bytes()
+	return c.births[s].Bytes() - prev.Bytes()
 }
 
 // bornAfter returns the first ordinal born after t: births are
 // nondecreasing, so every later ordinal is born after t too.
 func (tp *tape) bornAfter(t core.Time) int {
-	births := tp.births
-	return sort.Search(len(births), func(i int) bool { return births[i] > t })
+	return sort.Search(tp.ords, func(i int) bool { return tp.birth(i) > t })
 }
 
 // liveBytesBornAfter is the bucketed boundary query over the tape.
-// Reclaimed objects stay in the ordinal arrays with dead=true, which
+// Reclaimed objects stay on the tape with their dead flag set, which
 // cannot change the sum — only live bytes count — so the query is
 // identical for every runner sharing the tape regardless of how much
 // each one has scavenged.
@@ -647,7 +727,6 @@ func (tp *tape) liveBytesFrom(i int, t core.Time) uint64 {
 	if i == 0 {
 		return tp.live
 	}
-	births := tp.births
 	b := birthBucket(t)
 	// Births sharing t's bucket need individual comparison — the
 	// bucket sums only cover whole buckets. Later buckets hold only
@@ -656,10 +735,20 @@ func (tp *tape) liveBytesFrom(i int, t core.Time) uint64 {
 	// the final bucket of the clock space that end value would wrap
 	// to zero and the scan would run over every retained birth.
 	var sum uint64
-	for ; i < len(births) && birthBucket(births[i]) == b; i++ {
-		if !tp.dead[i] {
-			sum += tp.size(i)
+	prev := tp.before(i)
+scan:
+	for i < tp.ords {
+		births, dead := tp.run(i)
+		for s, birth := range births {
+			if birthBucket(birth) != b {
+				break scan
+			}
+			if !dead[s] {
+				sum += birth.Bytes() - prev.Bytes()
+			}
+			prev = birth
 		}
+		i += len(births)
 	}
 	// Bucket sums are stored relative to bucketBase. A query at or
 	// below the trimmed prefix starts the suffix at the base: the
@@ -696,13 +785,18 @@ func growBuckets(s []uint64, n int) []uint64 {
 // and Config.ReferenceScan runs whole simulations on this path so the
 // audit oracle can diff the results.
 func (tp *tape) liveBytesBornAfterNaive(t core.Time) uint64 {
-	births := tp.births
-	i := sort.Search(len(births), func(i int) bool { return births[i] > t })
+	i := tp.bornAfter(t)
+	prev := tp.before(i)
 	var sum uint64
-	for ; i < len(births); i++ {
-		if !tp.dead[i] {
-			sum += tp.size(i)
+	for i < tp.ords {
+		births, dead := tp.run(i)
+		for s, birth := range births {
+			if !dead[s] {
+				sum += birth.Bytes() - prev.Bytes()
+			}
+			prev = birth
 		}
+		i += len(births)
 	}
 	return sum
 }
@@ -1135,14 +1229,14 @@ func (r *Runner) reclaimLogged(tb core.Time) (traced, reclaimed uint64) {
 // objects it drops and whose survivors it traces.
 func (r *Runner) sweep(tb core.Time) (traced, reclaimed uint64) {
 	tp := r.tape
-	births := tp.births
 	objs := r.objs
-	start := sort.Search(len(objs), func(i int) bool { return births[objs[i]] > tb })
+	start := sort.Search(len(objs), func(i int) bool { return tp.birth(int(objs[i])) > tb })
 	w := start
 	for i := start; i < len(objs); i++ {
 		ord := objs[i]
-		size := tp.size(int(ord))
-		if tp.dead[ord] {
+		c, s := tp.slot(int(ord))
+		size := tp.sizeAt(int(ord), c, s)
+		if c.dead[s] {
 			reclaimed += size
 			r.inUse -= size
 			if r.present != nil {

@@ -15,9 +15,10 @@ import (
 // its reference leg reads the same tape. The tape compacts under the
 // smallest tunables, so ordinal 0 moves many times, on both index arms,
 // from a zero clock and from a clock whose last alloc ends at the top
-// of the clock space. Sizes include zero, which gives equal births.
+// of the clock space, and the front crosses more than three chunks.
+// Sizes include zero, which gives equal births.
 func TestTapeSizesFromBirths(t *testing.T) {
-	const objects = 3000
+	const objects = 3*tapeChunkOrds + 900
 	g := lcg(11)
 	sizes := make([]uint64, objects)
 	var total uint64
@@ -65,7 +66,7 @@ func TestTapeSizesFromBirths(t *testing.T) {
 				if tp.retiredOrds != before {
 					retires++
 				}
-				for ord := range tp.births {
+				for ord := range tp.ords {
 					id := tp.idBase + trace.ObjectID(ord)
 					if tp.index != nil {
 						id = tp.ids[ord]
@@ -97,6 +98,9 @@ func TestTapeSizesFromBirths(t *testing.T) {
 			}
 			if retires < 10 {
 				t.Fatalf("only %d retires over the trace", retires)
+			}
+			if tp.retiredOrds < 3*tapeChunkOrds {
+				t.Fatalf("only %d ordinals retired: the front crossed fewer than three chunks", tp.retiredOrds)
 			}
 			if tc.start != 0 && tp.clock.Bytes() != math.MaxUint64 {
 				t.Fatalf("clock ended at %d, want the top of the clock space", tp.clock.Bytes())

@@ -259,6 +259,14 @@ func (p Profile) GenerateTo(emit func(trace.Event) error) error {
 // (the clock, the death heap, whether this round's mark check is
 // done), so batch boundaries can fall anywhere and the sequence never
 // depends on them.
+//
+// Only allocations draw random numbers: the size's two uniforms, the
+// class's one, and one exponential unless the class is permanent. So
+// a Generator makes the draws of its next drawAhead allocations in one
+// loop, in allocation order, before it needs them (see refill); the
+// stream and every value drawn are the same as drawing each allocation
+// in its round, and the draws left over when the trace ends are never
+// used.
 type Generator struct {
 	p            Profile
 	r            *xrand.Rand
@@ -272,7 +280,32 @@ type Generator struct {
 	nextPhase uint64
 	marked    bool // this round's phase-mark check is done
 	ended     bool
+
+	// draws[drawAhead-left:] are the draws of the next allocations.
+	draws [drawAhead]draw
+	left  int
 }
+
+// drawAhead is how many allocations' draws a Generator makes at once.
+const drawAhead = 128
+
+// draw is one allocation's draws: its size, which way its death is
+// scheduled, and the delay that schedule adds (none for a permanent
+// object).
+type draw struct {
+	size  uint64
+	delay uint64
+	fate  fate
+}
+
+// fate is how an allocation's death is scheduled.
+type fate uint8
+
+const (
+	permanent  fate = iota // never freed
+	afterLife              // delay bytes of allocation after its birth
+	atPhaseEnd             // delay bytes after the end of its phase
+)
 
 // Generator validates the profile and returns a Generator at the
 // start of its trace.
@@ -342,31 +375,50 @@ func (g *Generator) ReadBatch(dst []trace.Event) (int, error) {
 			}
 		}
 		g.marked = false
-		size := uint64(math.Max(16, math.Min(8192, g.r.LogNormal(g.mu, g.sigma))))
+		if g.left == 0 {
+			g.refill()
+		}
+		d := &g.draws[drawAhead-g.left]
+		g.left--
 		id := g.nextID
 		g.nextID++
-		g.clock += size
-		dst[n] = trace.Alloc(id, size, g.instrAt(g.clock))
-		// Pick the class and schedule death.
+		g.clock += d.size
+		dst[n] = trace.Alloc(id, d.size, g.instrAt(g.clock))
+		switch d.fate {
+		case afterLife:
+			g.deaths.push(death{clock: g.clock + d.delay, id: id})
+		case atPhaseEnd:
+			phaseEnd := (g.clock/g.p.PhaseBytes + 1) * g.p.PhaseBytes
+			g.deaths.push(death{clock: phaseEnd + d.delay, id: id})
+		}
+	}
+	return len(dst), nil
+}
+
+// refill makes the draws of the next drawAhead allocations, each in
+// the order its round would: the size, then the class, then the
+// lifetime or the phase-end jitter.
+//
+//dtbvet:hotpath one call per drawAhead generated allocations
+func (g *Generator) refill() {
+	for i := range g.draws {
+		d := &g.draws[i]
+		d.size = uint64(max(16, min(8192, g.r.LogNormal(g.mu, g.sigma))))
 		u := g.r.Float64()
 		ci := 0
 		for ci < len(g.cum)-1 && u >= g.cum[ci] {
 			ci++
 		}
-		c := g.p.Classes[ci]
-		switch {
+		switch c := &g.p.Classes[ci]; {
 		case c.Permanent:
-			// never freed
+			d.fate = permanent
 		case c.DieAtPhaseEnd:
-			phaseEnd := (g.clock/g.p.PhaseBytes + 1) * g.p.PhaseBytes
-			jitter := uint64(g.r.Exp(4 * kb))
-			g.deaths.push(death{clock: phaseEnd + jitter, id: id})
+			d.fate, d.delay = atPhaseEnd, uint64(g.r.Exp(4*kb))
 		default:
-			life := uint64(g.r.Exp(c.MeanLife)) + 1
-			g.deaths.push(death{clock: g.clock + life, id: id})
+			d.fate, d.delay = afterLife, uint64(g.r.Exp(c.MeanLife))+1
 		}
 	}
-	return len(dst), nil
+	g.left = drawAhead
 }
 
 // instrAt is the instruction count at allocation clock c.
